@@ -446,13 +446,14 @@ class MockIMAPServer:
         self.transcript.clear()
 
     def inject_new_message(self, mailbox: str, raw: bytes, flags: tuple[str, ...] = ()) -> int:
-        """Add a message; a matching EXISTS surfaces before the next command."""
+        """Add a message; an EXISTS with the count it made surfaces before
+        the next command."""
         with self._lock:
             mb = self.mailboxes[mailbox]
             uid = mb.uidnext
             mb.uidnext += 1
             mb.messages.append(StoredMessage(uid, _order_flags(flags), _normalize_crlf(raw)))
-            self._pending.items.append(("exists", mailbox))
+            self._pending.items.append(("exists", mailbox, mb.exists()))
             return uid
 
     def inject_expunge(self, mailbox: str, uid: int) -> None:
@@ -529,8 +530,7 @@ class MockIMAPServer:
                 if state["selected"] is None or event[1] != state["selected"]:
                     continue
                 if event[0] == "exists":
-                    mb = self.mailboxes[state["selected"]]
-                    send(b"* %d EXISTS\r\n" % mb.exists())
+                    send(b"* %d EXISTS\r\n" % event[2])
                 elif event[0] == "expunge":
                     send(b"* %d EXPUNGE\r\n" % event[2])
             try:
@@ -716,7 +716,7 @@ class MockIMAPServer:
                 StoredMessage(uid, _order_flags(flags), _normalize_crlf(cmd.literals[-1]))
             )
             if state["selected"] == mb.name:
-                self._pending.items.append(("exists", mb.name))
+                self._pending.items.append(("exists", mb.name, mb.exists()))
         send(self._ok(cmd))
 
     # -- fetch ---------------------------------------------------------------

@@ -77,6 +77,7 @@ log = logging.getLogger("chamail.proxy")
 
 _META_HEADER_FIELDS = "FROM SUBJECT CONTENT-TYPE CONTENT-TRANSFER-ENCODING MIME-VERSION"
 _LITERAL_MARKER_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n")
+_TAGGED_STATUS_RE = re.compile(rb"^([^ ]+) (OK|NO|BAD)(?: |\r\n)")
 
 AUTH_FAILED_TEXT = "LOGIN failed"
 UPSTREAM_FAILED_TEXT = "upstream unavailable"
@@ -144,6 +145,11 @@ def load_config(path: str | Path) -> ProxyConfig:
 # -- upstream connection --------------------------------------------------------
 
 
+def _is_tagged_for(blob: bytes, tag: str) -> bool:
+    m = _TAGGED_STATUS_RE.match(blob)
+    return m is not None and m.group(1) == tag.encode("ascii")
+
+
 class UpstreamConnection:
     """Blocking IMAP connection to the real server, one per session."""
 
@@ -179,35 +185,48 @@ class UpstreamConnection:
             raise UpstreamUnavailable("upstream closed the connection")
         return blob
 
-    def send_blob(self, blob: bytes) -> list[bytes]:
-        """Send command bytes, honoring sync-literal continuations.
-
-        Returns any stray response blobs that arrived while waiting for
-        continuation prompts; the caller decides what they mean.
-        """
-        strays: list[bytes] = []
-        pos = 0
+    def _write(self, data: bytes) -> None:
         try:
-            while True:
-                m = _LITERAL_MARKER_RE.search(blob, pos)
-                if m is None:
-                    self.wfile.write(blob[pos:])
-                    self.wfile.flush()
-                    return strays
-                self.wfile.write(blob[pos : m.end()])
-                self.wfile.flush()
-                if m.group(2) != b"+":
-                    while True:
-                        reply = self.read_blob()
-                        if reply.startswith(b"+"):
-                            break
-                        strays.append(reply)
-                size = int(m.group(1))
-                body_end = m.end() + size
-                self.wfile.write(blob[m.end() : body_end])
-                pos = body_end
+            self.wfile.write(data)
+            self.wfile.flush()
         except OSError as exc:
             raise UpstreamUnavailable(f"upstream write failed: {exc}") from exc
+
+    def send_blob(self, blob: bytes, tag: str, on_reply) -> bytes | None:
+        """Send command bytes, honoring sync-literal continuations.
+
+        Replies that arrive while waiting for a continuation prompt go to
+        *on_reply*. A server may refuse a literal by completing *tag* in
+        place of the prompt (RFC 3501 §7.5); the rest of the command is then
+        not sent and that completion is returned. Otherwise returns None.
+        """
+        sent = pos = 0
+        while (m := _LITERAL_MARKER_RE.search(blob, pos)) is not None:
+            if m.group(2) != b"+":
+                self._write(blob[sent : m.end()])
+                sent = m.end()
+                while not (reply := self.read_blob()).startswith(b"+"):
+                    if _is_tagged_for(reply, tag):
+                        return reply
+                    on_reply(reply)
+            pos = m.end() + int(m.group(1))  # skip the literal's body
+        self._write(blob[sent:])
+        return None
+
+    def exchange(self, blob: bytes, tag: str, on_reply) -> bytes:
+        """Send one command and read replies until *tag* completes.
+
+        Every untagged reply (and continuation) goes to *on_reply* as soon
+        as it arrives; the tagged completion is returned.
+        """
+        tagged = self.send_blob(blob, tag, on_reply)
+        while tagged is None:
+            reply = self.read_blob()
+            if _is_tagged_for(reply, tag):
+                tagged = reply
+            else:
+                on_reply(reply)
+        return tagged
 
     def close(self) -> None:
         for closer in (self.rfile.close, self.wfile.close, self._sock.close):
@@ -223,14 +242,6 @@ class UpstreamConnection:
 _NOT_AUTH = "NOT_AUTHENTICATED"
 _AUTH = "AUTHENTICATED"
 _SELECTED = "SELECTED"
-
-_TAGGED_STATUS_RE = re.compile(rb"^([^ ]+) (OK|NO|BAD)(?: |\r\n)")
-
-
-def _is_tagged_for(blob: bytes, tag: str) -> bool:
-    m = _TAGGED_STATUS_RE.match(blob)
-    return m is not None and m.group(1) == tag.encode("ascii")
-
 
 def _same_mailbox(a: str, b: str | None) -> bool:
     if b is None:
@@ -414,8 +425,9 @@ class ClientSession:
             name="LOGIN",
             login=(target.upstream_login, upstream_password),
         )
+        untagged: list[bytes] = []  # forwarded only once the upstream says OK
         try:
-            untagged, tagged_blob = self._exchange_raw(upstream, render_command(login_cmd), cmd.tag)
+            tagged_blob = upstream.exchange(render_command(login_cmd), cmd.tag, untagged.append)
         except UpstreamUnavailable as exc:
             upstream.close()
             log.warning("upstream login exchange failed for %s: %s", account.email, exc)
@@ -443,24 +455,10 @@ class ClientSession:
             self._tagged(cmd.tag, "OK", completion_text(cmd.name))
         log.info("%s authenticated as %s from %s", account.email, principal, self.peer)
 
-    def _exchange_raw(
-        self, upstream: UpstreamConnection, blob: bytes, tag: str
-    ) -> tuple[list[bytes], bytes]:
-        """Send raw command bytes; collect untagged blobs until *tag* completes."""
-        untagged = upstream.send_blob(blob)
-        while True:
-            reply = upstream.read_blob()
-            if _is_tagged_for(reply, tag):
-                return untagged, reply
-            untagged.append(reply)
-
     def _handle_logout(self, cmd: Command) -> bool:
         if self.upstream is not None and isinstance(self.principal, Owner):
             try:
-                untagged, tagged_blob = self._exchange_raw(self.upstream, cmd.raw, cmd.tag)
-                for blob in untagged:
-                    self._send(blob)
-                self._send(tagged_blob)
+                self._send(self.upstream.exchange(cmd.raw, cmd.tag, self._send))
             except UpstreamUnavailable:
                 self._send(imapcodec.BYE_LINE)
                 self._tagged(cmd.tag, "OK", completion_text(cmd.name))
@@ -468,7 +466,7 @@ class ClientSession:
         if self.upstream is not None:
             try:
                 tag = self.upstream.next_tag()
-                self._exchange_raw(self.upstream, f"{tag} LOGOUT\r\n".encode(), tag)
+                self.upstream.exchange(f"{tag} LOGOUT\r\n".encode(), tag, lambda _reply: None)
             except UpstreamUnavailable:
                 pass
         self._send(imapcodec.BYE_LINE)
@@ -480,11 +478,9 @@ class ClientSession:
     def _dispatch_owner(self, cmd: Command) -> bool:
         assert self.upstream is not None
         try:
-            untagged, tagged_blob = self._exchange_raw(self.upstream, cmd.raw, cmd.tag)
+            tagged_blob = self.upstream.exchange(cmd.raw, cmd.tag, self._send)
         except UpstreamUnavailable as exc:
             raise SessionAborted(f"upstream lost mid-command: {exc}") from exc
-        for blob in untagged:
-            self._send(blob)
         self._send(tagged_blob)
         return True
 
@@ -520,26 +516,20 @@ class ClientSession:
 
     def _subuser_exchange(self, blob: bytes, tag: str, on_data=None) -> Tagged:
         assert self.upstream is not None
-        strays = self.upstream.send_blob(blob)
-        pending = list(strays)
-        while True:
-            if pending:
-                reply = pending.pop(0)
-            else:
-                reply = self.upstream.read_blob()
-            if _is_tagged_for(reply, tag):
-                tagged = parse_response(reply)
-                assert isinstance(tagged, Tagged)
-                return tagged
+
+        def on_reply(reply: bytes) -> None:
             try:
                 resp = parse_response(reply)
             except ImapSyntaxError as exc:
                 raise SessionAborted(f"unparseable upstream response: {exc}") from exc
             if isinstance(resp, Continuation):
                 raise SessionAborted("unexpected upstream continuation")
-            if on_data is not None and on_data(resp):
-                continue
-            self._absorb_stray(resp)
+            if on_data is None or not on_data(resp):
+                self._absorb_stray(resp)
+
+        tagged = parse_response(self.upstream.exchange(blob, tag, on_reply))
+        assert isinstance(tagged, Tagged)
+        return tagged
 
     def _absorb_stray(self, resp) -> None:
         """Default handling for unsolicited upstream responses."""
@@ -547,6 +537,14 @@ class ClientSession:
         if isinstance(resp, ExpungeEvent):
             if view is None:
                 return
+            pending = self._pending_exists
+            if pending is not None:
+                # An EXISTS earlier in this response counted messages that
+                # later expunges shrink, and a newcomer the view has not
+                # taken in yet may be the one that left.
+                self._pending_exists = pending - 1
+                if view.upstream_exists() < resp.seq <= pending:
+                    return
             try:
                 virtual = view.apply_upstream_expunge(resp.seq)
             except UnknownSeq as exc:

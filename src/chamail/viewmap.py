@@ -149,9 +149,3 @@ class ViewMap:
             self._slots.append((uid, visible))
             any_visible = any_visible or visible
         return self.exists() if any_visible else None
-
-
-def build_view(
-    messages: Iterable[tuple[int, int, Decision]], uidvalidity: int
-) -> ViewMap:
-    return ViewMap(messages, uidvalidity)

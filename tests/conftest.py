@@ -1,6 +1,7 @@
 """Shared fixtures: the six-message mailbox, a mock upstream, the proxy stack."""
 
 import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,66 @@ def proxy6(store6, mock6, master_key):
     )
     with ProxyServer(config, store6, master_key) as server:
         yield server
+
+
+class ScriptedUpstream:
+    """A one-connection upstream whose replies a test writes by hand.
+
+    It greets, accepts any LOGIN, and hands every later command line to
+    *script(line, send)*, where *send* writes raw bytes to the proxy. Every
+    line received is kept in `lines`, in order.
+    """
+
+    def __init__(self, script):
+        self.script = script
+        self.lines: list[bytes] = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(10)
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        try:
+            conn, _ = self._sock.accept()
+        except OSError:
+            return
+        with conn, conn.makefile("rb") as rfile:
+            conn.sendall(b"* OK scripted upstream ready\r\n")
+            for line in iter(rfile.readline, b""):
+                self.lines.append(line)
+                words = line.split(b" ")
+                if words[1:2] == [b"LOGIN"]:
+                    conn.sendall(words[0] + b" OK LOGIN completed\r\n")
+                else:
+                    self.script(line, conn.sendall)
+
+    def close(self) -> None:
+        self._sock.close()
+        self._thread.join(timeout=5)
+
+
+@pytest.fixture
+def scripted_owner(tmp_path, master_key):
+    """Factory: an owner client logged in through a proxy whose upstream is
+    a ScriptedUpstream running *script*. Returns (client, upstream)."""
+    opened = []
+
+    def _open(script):
+        upstream = ScriptedUpstream(script)
+        cs = make_household_store(tmp_path / "store.json", upstream.port, master_key)
+        proxy = ProxyServer(ProxyConfig(store_path=cs.path, listen_port=0), cs, master_key)
+        proxy.start()
+        client = ImapClient(proxy.port)
+        opened.append((client, proxy, upstream))
+        assert client.cmd(b"t0 LOGIN person@gmail.com appleball\r\n")[-1].startswith(b"t0 OK")
+        return client, upstream
+
+    yield _open
+    for client, proxy, upstream in opened:
+        client.close()
+        proxy.stop()
+        upstream.close()
 
 
 class ImapClient:

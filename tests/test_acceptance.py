@@ -22,6 +22,7 @@ from conftest import (
     ImapClient,
     make_household_store,
 )
+from reference_policy import reference_evaluate
 from test_imapcodec import RECORDED_TRANSCRIPT, ScriptedIO
 from wiregen import command_line, response_blob
 
@@ -40,7 +41,6 @@ from chamail.policy import (
     UNPARSEABLE,
     evaluate,
     extract_meta,
-    reference_evaluate,
 )
 from chamail.principal import Owner, SubUser
 from chamail.proxy import ProxyConfig, ProxyServer

@@ -417,6 +417,15 @@ def test_injected_expunge_surfaces_with_sequence_number(mclient, mock6):
         mock6.inject_expunge("INBOX", 999)
 
 
+def test_exists_reports_the_count_at_arrival(mclient, mock6):
+    client = mclient()
+    select(client)
+    mock6.inject_new_message("INBOX", b"From: a@b.example\r\n\r\nx\r\n")
+    mock6.inject_expunge("INBOX", 10)
+    out = client.cmd(b"a3 NOOP\r\n")
+    assert out == [b"* 7 EXISTS\r\n", b"* 1 EXPUNGE\r\n", b"a3 OK NOOP completed\r\n"]
+
+
 def test_select_discards_stale_events(mclient, mock6):
     client = mclient()
     login(client)

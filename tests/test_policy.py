@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_policy import reference_evaluate
 
 from chamail.errors import InvalidPolicy
 from chamail.policy import (
@@ -16,7 +17,6 @@ from chamail.policy import (
     UNPARSEABLE,
     evaluate,
     extract_meta,
-    reference_evaluate,
     sender_constraints_pass,
     validate,
 )

@@ -3,6 +3,7 @@
 import base64
 import json
 import socket
+import threading
 
 import pytest
 
@@ -220,6 +221,49 @@ def test_owner_logout_relays_bye(owner_session, mock6):
     assert mock6.received_verbs()[-1] == "LOGOUT"
 
 
+def test_owner_replies_stream_before_the_tagged_line(scripted_owner):
+    release = threading.Event()
+
+    def script(line, send):
+        send(b"* 1 EXISTS\r\n")
+        release.wait(10)
+        send(line.split(b" ", 1)[0] + b" OK NOOP completed\r\n")
+
+    client, _upstream = scripted_owner(script)
+    client.sock.settimeout(5)
+    client.send(b"a1 NOOP\r\n")
+    try:
+        assert client._read() == b"* 1 EXISTS\r\n"
+    finally:
+        release.set()
+    assert client._read() == b"a1 OK NOOP completed\r\n"
+
+
+def test_owner_gets_the_upstream_refusal_of_a_literal(scripted_owner):
+    def script(line, send):
+        tag = line.split(b" ", 1)[0]
+        if b"APPEND" in line:
+            send(tag + b" NO [TRYCREATE] no such mailbox\r\n")
+        else:
+            send(tag + b" OK NOOP completed\r\n")
+
+    client, upstream = scripted_owner(script)
+    out = {}
+
+    def talk():
+        out["append"] = client.cmd(b"a1 APPEND nobox {3}\r\nabc\r\n")
+        out["noop"] = client.cmd(b"a2 NOOP\r\n")
+
+    talker = threading.Thread(target=talk, daemon=True)
+    talker.start()
+    talker.join(timeout=5)
+    assert not talker.is_alive()
+    assert out["append"] == [b"+ \r\n", b"a1 NO [TRYCREATE] no such mailbox\r\n"]
+    assert out["noop"] == [b"a2 OK NOOP completed\r\n"]
+    # the refused literal never reached the upstream
+    assert upstream.lines[1:] == [b"a1 APPEND nobox {3}\r\n", b"a2 NOOP\r\n"]
+
+
 # -- sub-user filtering ------------------------------------------------------------
 
 
@@ -418,6 +462,31 @@ def test_visible_expunge_renumbered(spouse_session, mock6):
         b"* 2 FETCH (UID 40)\r\n",
         b"* 3 FETCH (UID 60)\r\n",
     ]
+
+
+def test_arrival_then_expunges_in_one_response(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    uid = mock6.inject_new_message(
+        "INBOX", b"From: colleague@work.example\r\nSubject: standup\r\n\r\nmoved\r\n"
+    )
+    mock6.inject_expunge("INBOX", 20)
+    mock6.inject_expunge("INBOX", 30)
+    out = spouse_session.cmd(b"t3 NOOP\r\n")
+    assert out == [b"* 2 EXPUNGE\r\n", b"* 4 EXISTS\r\n", b"t3 OK NOOP completed\r\n"]
+    out = spouse_session.cmd(b"t4 UID SEARCH ALL\r\n")
+    assert out[0] == b"* SEARCH 10 40 60 %d\r\n" % uid
+
+
+def test_arrival_expunged_before_delivery_is_silent(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    uid = mock6.inject_new_message(
+        "INBOX", b"From: colleague@work.example\r\nSubject: standup\r\n\r\nmoved\r\n"
+    )
+    mock6.inject_expunge("INBOX", uid)
+    out = spouse_session.cmd(b"t3 NOOP\r\n")
+    assert out == [b"t3 OK NOOP completed\r\n"]
+    out = spouse_session.cmd(b"t4 SEARCH ALL\r\n")
+    assert out[0] == b"* SEARCH 1 2 3 4\r\n"
 
 
 def test_upstream_drop_terminates_session(spouse_session, mock6):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from chamail.errors import InconsistentInput, UnknownSeq
 from chamail.imapcodec import parse_sequence_set
 from chamail.policy import Decision
-from chamail.viewmap import HIDDEN, ViewMap, build_view
+from chamail.viewmap import HIDDEN, ViewMap
 
 V, H = Decision.VISIBLE, Decision.HIDDEN
 
@@ -113,10 +113,6 @@ def test_extend_rejects_gaps():
 def test_build_rejects_non_contiguous_input():
     with pytest.raises(InconsistentInput):
         ViewMap([(1, 10, V), (3, 30, V)], 1)
-
-
-def test_build_view_helper():
-    assert build_view([(1, 10, V)], 7).exists() == 1
 
 
 def test_empty_mailbox():
