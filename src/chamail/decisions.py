@@ -1,0 +1,83 @@
+"""Server-wide cache of sub-user policy decisions.
+
+RFC 3501 §2.3.1.1: within one UIDVALIDITY, a mailbox's UID names one
+immutable message for as long as the mailbox exists. A VISIBLE/HIDDEN
+decision for that message under one exact policy, with the exact members
+of the address lists the policy names, therefore never goes stale. The key
+holds all of that by value and is compared by equality, so a changed
+policy or list is a different key: a miss, never a stale hit.
+
+The cache belongs to one ProxyServer; its sessions share it.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Iterable, Mapping, AbstractSet
+
+from .policy import Decision, PolicySet
+
+# Total UIDs held over all keys. Each costs a dict slot and an int, 65 to
+# 100 bytes, so the cache stays under about 20 MB whatever the mailbox sizes.
+CAP_UIDS = 200_000
+
+
+def mailbox_id(name: str) -> str:
+    """The mailbox a name refers to: INBOX is case-insensitive (RFC 3501 §5.1)."""
+    return "INBOX" if name.upper() == "INBOX" else name
+
+
+def decision_key(
+    upstream: tuple[str, int, str],
+    mailbox: str,
+    uidvalidity: int,
+    policy: PolicySet,
+    lists: Mapping[str, AbstractSet[str]],
+) -> tuple:
+    """Key for decisions on *mailbox* of the account *upstream* (host,
+    port, login) under *policy*, which reads only the lists it references."""
+    referenced = tuple(
+        sorted((name, frozenset(lists.get(name, ()))) for name in policy.referenced_lists())
+    )
+    return (*upstream, mailbox_id(mailbox), uidvalidity, policy, referenced)
+
+
+class DecisionCache:
+    """Bounded LRU of key -> {uid: Decision}, sized in UIDs over all keys.
+
+    Eviction drops whole least-recently-used keys until the total is at
+    most CAP_UIDS; a key that alone exceeds it is not kept.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, dict[int, Decision]] = OrderedDict()
+        self._size = 0
+
+    def __contains__(self, key: tuple) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def lookup(self, key: tuple, uids: Iterable[int]) -> list[Decision | None]:
+        """The cached decision per UID, None on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return [None for _ in uids]
+            self._entries.move_to_end(key)
+            return [entry.get(uid) for uid in uids]
+
+    def store(self, key: tuple, decisions: Mapping[int, Decision]) -> None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = {}
+            else:
+                self._entries.move_to_end(key)
+            before = len(entry)
+            entry.update(decisions)
+            self._size += len(entry) - before
+            while self._size > CAP_UIDS:
+                _key, dropped = self._entries.popitem(last=False)
+                self._size -= len(dropped)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from . import imapcodec, store
 from .credstore import CredStore
+from .decisions import DecisionCache, decision_key, mailbox_id
 from .errors import (
     AuthFailed,
     ChamailError,
@@ -244,9 +245,7 @@ _AUTH = "AUTHENTICATED"
 _SELECTED = "SELECTED"
 
 def _same_mailbox(a: str, b: str | None) -> bool:
-    if b is None:
-        return False
-    return a == b or (a.upper() == "INBOX" and b.upper() == "INBOX")
+    return b is not None and mailbox_id(a) == mailbox_id(b)
 
 
 class ClientSession:
@@ -261,8 +260,7 @@ class ClientSession:
         self.principal: Principal | None = None
         self.email: str | None = None
         self.upstream: UpstreamConnection | None = None
-        self.upstream_creds: tuple[str, str] | None = None
-        self.upstream_target: tuple[str, int, bool] | None = None
+        self.upstream_id: tuple[str, int, str] | None = None  # host, port, login
         self.view: ViewMap | None = None
         self.selected_mailbox: str | None = None
         self.active_policy: PolicySet | None = None
@@ -441,8 +439,7 @@ class ClientSession:
             return
 
         self.upstream = upstream
-        self.upstream_creds = (target.upstream_login, upstream_password)
-        self.upstream_target = (host, port, use_tls)
+        self.upstream_id = (host, port, target.upstream_login)
         self.principal = principal
         self.email = account.email
         self.state = _AUTH
@@ -585,7 +582,10 @@ class ClientSession:
             if view is None or target <= view.upstream_exists():
                 continue
             first = view.upstream_exists() + 1
-            decisions = self._fetch_decisions(first, target)
+            assert self.selected_mailbox is not None
+            decisions = self._fetch_decisions(
+                first, target, self._decision_key(self.selected_mailbox, view.uidvalidity)
+            )
             newcomers = [(seq, uid, decision) for seq, uid, decision, _flags in decisions]
             try:
                 announced = view.extend_on_new(newcomers)
@@ -602,115 +602,113 @@ class ClientSession:
         sub = account.subuser(self.principal.name)
         return sub.policy, account.list_members()
 
+    def _decision_key(self, mailbox: str, uidvalidity: int) -> tuple:
+        policy, lists = self.active_policy, self.active_lists
+        assert self.upstream_id is not None and policy is not None and lists is not None
+        return decision_key(self.upstream_id, mailbox, uidvalidity, policy, lists)
+
     def _fetch_decisions(
-        self, first: int, last: int
+        self, first: int, last: int, key: tuple
     ) -> list[tuple[int, int, Decision, frozenset]]:
         """Evaluate policy over upstream seqs first..last.
 
-        Returns (upstream_seq, uid, decision, flags) rows. Any gap or
-        parse failure fails the whole operation — a sub-user never sees
-        an unfiltered or half-filtered mailbox.
+        Returns (upstream_seq, uid, decision, flags) rows. Decisions the
+        server holds under *key* are reused: a first FETCH learns the UIDs
+        and flags, and only the misses have their headers (and, under
+        keyword rules, body excerpts) fetched and evaluated. Any gap, parse
+        failure or UID mismatch fails the whole operation and caches
+        nothing — a sub-user never sees an unfiltered or half-filtered
+        mailbox.
         """
+        cache = self.server.decisions
+        seqs = list(range(first, last + 1))
+        uids: dict[int, int] = {}
+        flags: dict[int, frozenset] = {}
+        decided: dict[int, Decision] = {}
+        if key in cache:
+            # With nothing cached under the key every UID would miss; the
+            # misses' FETCH below then learns the UIDs itself.
+            for seq, attrs in self._fetch_rows(seqs, "UID FLAGS", "metadata").items():
+                uids[seq], flags[seq] = _uid_and_flags(seq, attrs)
+            cached = cache.lookup(key, [uids[seq] for seq in seqs])
+            decided = {seq: hit for seq, hit in zip(seqs, cached) if hit is not None}
+        misses = [seq for seq in seqs if seq not in decided]
+        if misses:
+            rows = self._fetch_rows(
+                misses, f"UID FLAGS BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]", "metadata"
+            )
+            headers: dict[int, bytes] = {}
+            for seq, attrs in rows.items():
+                uid, flags[seq] = _uid_and_flags(seq, attrs)
+                if uids.setdefault(seq, uid) != uid:
+                    raise SessionAborted(f"metadata fetch desync: seq {seq} changed UID")
+                header = _section(attrs, "BODY[HEADER.FIELDS", seq)
+                if not isinstance(header, bytes):
+                    raise SessionAborted(f"malformed metadata for seq {seq}")
+                headers[seq] = header
+            decided.update(self._evaluate_headers(headers))
+            cache.store(key, {uids[seq]: decided[seq] for seq in misses})
+        hits = len(seqs) - len(misses)
+        log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
+        return [(seq, uids[seq], decided[seq], flags[seq]) for seq in seqs]
+
+    def _evaluate_headers(self, headers: dict[int, bytes]) -> dict[int, Decision]:
+        """Policy-evaluate messages by their metadata headers."""
         policy, lists = self.active_policy, self.active_lists
         assert policy is not None and lists is not None
-        assert self.upstream is not None
-        rows: dict[int, dict] = {}
-        tag = self.upstream.next_tag()
-        span = f"{first}:{last}" if last > first else str(first)
-        request = (
-            f"{tag} FETCH {span} (UID FLAGS "
-            f"BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})])\r\n"
-        ).encode("ascii")
-
-        def collect(resp) -> bool:
-            if isinstance(resp, FetchData):
-                rows[resp.seq] = {"attrs": resp.attrs}
-                return True
-            return False
-
-        tagged = self._subuser_exchange(request, tag, collect)
-        if tagged.status != "OK":
-            raise SessionAborted(f"metadata fetch failed: {tagged.status} {tagged.text}")
-
-        parsed: dict[int, dict] = {}
-        for seq in range(first, last + 1):
-            if seq not in rows:
-                raise SessionAborted(f"metadata fetch missing seq {seq}")
-            try:
-                attrs = dict(parse_fetch_attrs(rows[seq]["attrs"]))
-                uid = attrs["UID"]
-                header_blob = next(
-                    value
-                    for key, value in attrs.items()
-                    if key.startswith("BODY[HEADER.FIELDS")
-                )
-                flags_raw = attrs.get("FLAGS", b"()")
-                if not isinstance(uid, int) or not isinstance(header_blob, bytes):
-                    raise SessionAborted(f"malformed metadata for seq {seq}")
-            except (KeyError, StopIteration, ImapSyntaxError) as exc:
-                raise SessionAborted(f"malformed metadata for seq {seq}: {exc}") from exc
-            if not isinstance(flags_raw, bytes):
-                raise SessionAborted(f"malformed FLAGS for seq {seq}")
-            flags = frozenset(
-                f.decode("ascii", "replace") for f in flags_raw.strip(b"()").split()
-            )
-            parsed[seq] = {"uid": uid, "header": header_blob, "flags": flags}
-
+        decided: dict[int, Decision] = {}
         # Body excerpts only for messages whose sender constraints pass and
         # only when keyword constraints exist at all.
         needs_body: list[int] = []
-        for seq, row in parsed.items():
-            meta = extract_meta(row["header"])
-            row["meta"] = meta
+        for seq, header in headers.items():
+            meta = extract_meta(header)
             if not sender_constraints_pass(policy, meta.sender, lists):
-                row["decision"] = Decision.HIDDEN
+                decided[seq] = Decision.HIDDEN
             elif policy.has_keyword_constraints:
                 needs_body.append(seq)
             else:
-                row["decision"] = evaluate(policy, meta, lists, self.principal)
-
+                decided[seq] = evaluate(policy, meta, lists, self.principal)
         if needs_body:
-            bodies = self._fetch_body_excerpts(needs_body)
+            bodies = self._fetch_rows(
+                needs_body, f"BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>", "body excerpt"
+            )
             for seq in needs_body:
-                row = parsed[seq]
-                synthetic = row["header"] + bodies[seq]
-                meta = extract_meta(synthetic)
-                row["decision"] = evaluate(policy, meta, lists, self.principal)
+                body = _section(bodies[seq], "BODY[TEXT]", seq)
+                meta = extract_meta(headers[seq] + (body if isinstance(body, bytes) else b""))
+                decided[seq] = evaluate(policy, meta, lists, self.principal)
+        return decided
 
-        return [
-            (seq, parsed[seq]["uid"], parsed[seq]["decision"], parsed[seq]["flags"])
-            for seq in range(first, last + 1)
-        ]
+    def _fetch_rows(self, seqs: list[int], items: str, what: str) -> dict[int, dict]:
+        """FETCH *items* for upstream *seqs* by sequence number (RFC 3501
+        §7.4.1 allows no EXPUNGE meanwhile); the parsed attributes per seq.
 
-    def _fetch_body_excerpts(self, seqs: list[int]) -> dict[int, bytes]:
+        A refused FETCH, a missing seq or unparseable attributes abort.
+        """
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         seq_set = SequenceSet.from_numbers(seqs).render()
-        request = (
-            f"{tag} FETCH {seq_set} (BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>)\r\n"
-        ).encode("ascii")
-        bodies: dict[int, bytes] = {}
+        request = f"{tag} FETCH {seq_set} ({items})\r\n".encode("ascii")
+        raw: dict[int, bytes] = {}
 
         def collect(resp) -> bool:
             if isinstance(resp, FetchData):
-                try:
-                    attrs = dict(parse_fetch_attrs(resp.attrs))
-                    body = next(
-                        value for key, value in attrs.items() if key.startswith("BODY[TEXT]")
-                    )
-                except (StopIteration, ImapSyntaxError) as exc:
-                    raise SessionAborted(f"malformed body excerpt: {exc}") from exc
-                bodies[resp.seq] = body if isinstance(body, bytes) else b""
+                raw[resp.seq] = resp.attrs
                 return True
             return False
 
         tagged = self._subuser_exchange(request, tag, collect)
         if tagged.status != "OK":
-            raise SessionAborted(f"body fetch failed: {tagged.status} {tagged.text}")
-        missing = [seq for seq in seqs if seq not in bodies]
-        if missing:
-            raise SessionAborted(f"body fetch missing seqs {missing}")
-        return bodies
+            raise SessionAborted(f"{what} fetch failed: {tagged.status} {tagged.text}")
+        rows: dict[int, dict] = {}
+        for seq in seqs:
+            attrs = raw.pop(seq, None)  # bodies are large: hold each once
+            if attrs is None:
+                raise SessionAborted(f"{what} fetch missing seq {seq}")
+            try:
+                rows[seq] = dict(parse_fetch_attrs(attrs))
+            except ImapSyntaxError as exc:
+                raise SessionAborted(f"malformed {what} for seq {seq}: {exc}") from exc
+        return rows
 
     # -- sub-user commands ---------------------------------------------------------
 
@@ -759,8 +757,12 @@ class ClientSession:
         uidvalidity_text = collected["uidvalidity"]
         if exists is None or uidvalidity_text is None or not uidvalidity_text.isdigit():
             raise SessionAborted("upstream EXAMINE response missing EXISTS/UIDVALIDITY")
-        collected["uidvalidity"] = int(uidvalidity_text)
-        decisions = self._fetch_decisions(1, exists) if exists else []
+        uidvalidity = collected["uidvalidity"] = int(uidvalidity_text)
+        decisions = (
+            self._fetch_decisions(1, exists, self._decision_key(mailbox, uidvalidity))
+            if exists
+            else []
+        )
         return tagged, collected, decisions
 
     def _subuser_select(self, cmd: Command) -> None:
@@ -963,7 +965,7 @@ class ClientSession:
         new_view = ViewMap(
             [(seq, uid, decision) for seq, uid, decision, _ in decisions], uidvalidity
         )
-        new_uids = set(new_view.visible_uids())
+        new_uids = new_view.visible_uid_set()
         vanished = [
             virtual
             for virtual, uid in enumerate(old_view.visible_uids(), start=1)
@@ -1005,7 +1007,7 @@ class ClientSession:
                 f"{cmd.tag} UID FETCH {uid_set.render()} ".encode("ascii") + cmd.rest + CRLF
             )
 
-        allowed_uids = set(view.visible_uids())
+        allowed_uids = view.visible_uid_set()
 
         def relay(resp) -> bool:
             if not isinstance(resp, FetchData):
@@ -1068,6 +1070,22 @@ class ClientSession:
         self._send(tagged.raw)
 
 
+def _uid_and_flags(seq: int, attrs: dict) -> tuple[int, frozenset]:
+    uid = attrs.get("UID")
+    flags_raw = attrs.get("FLAGS", b"()")
+    if not isinstance(uid, int) or not isinstance(flags_raw, bytes):
+        raise SessionAborted(f"malformed metadata for seq {seq}")
+    return uid, frozenset(f.decode("ascii", "replace") for f in flags_raw.strip(b"()").split())
+
+
+def _section(attrs: dict, prefix: str, seq: int):
+    """The value of the first attribute named *prefix*..., e.g. BODY[TEXT]<0>."""
+    for name, value in attrs.items():
+        if name.startswith(prefix):
+            return value
+    raise SessionAborted(f"malformed metadata for seq {seq}: no {prefix}")
+
+
 def _uid_in_requested(uid: int, seq_set: SequenceSet, max_visible_uid: int) -> bool:
     """UID-set membership where '*' resolves to the largest *visible* uid."""
     for lo, hi in seq_set.ranges:
@@ -1097,6 +1115,7 @@ class ProxyServer:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._sessions: list[threading.Thread] = []
+        self.decisions = DecisionCache()
 
     def start(self) -> "ProxyServer":
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)

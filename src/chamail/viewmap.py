@@ -11,6 +11,8 @@ shared across sessions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInput, UnknownSeq
@@ -38,7 +40,12 @@ HIDDEN = _HiddenType()
 
 class ViewMap:
     """Bijection between virtual sequence numbers and visible upstream
-    messages, updated live as the upstream mailbox changes."""
+    messages, updated live as the upstream mailbox changes.
+
+    Lookups read two indexes, the running count of visible slots and the
+    visible UIDs; every update drops them and the next lookup rebuilds
+    them, so a lookup costs O(log N) and an update O(N).
+    """
 
     def __init__(
         self,
@@ -46,40 +53,70 @@ class ViewMap:
         uidvalidity: int,
     ):
         self.uidvalidity = uidvalidity
-        # slot index i holds upstream seq i+1: (uid, visible)
-        self._slots: list[tuple[int, bool]] = []
+        # slot index i holds upstream seq i+1
+        self._uids: list[int] = []
+        self._visible = bytearray()  # 1 where the sub-user may see the slot
+        self._append(messages, "upstream seq")
+
+    def _changed(self) -> None:
+        """Drop the lookup indexes; the next lookup rebuilds them."""
+        self._virtual_by_slot: list[int] | None = None
+        self._visible_uids: tuple[int, ...] | None = None
+        self._visible_uid_set: frozenset[int] | None = None
+
+    def _append(self, messages: Iterable[tuple[int, int, Decision]], what: str) -> bool:
+        """Append slots in upstream order; True iff one of them is visible."""
+        self._changed()
+        any_visible = False
         for upstream_seq, uid, decision in messages:
-            if upstream_seq != len(self._slots) + 1:
+            if upstream_seq != len(self._uids) + 1:
                 raise InconsistentInput(
-                    f"upstream seq {upstream_seq} breaks contiguity at "
-                    f"{len(self._slots) + 1}"
+                    f"{what} {upstream_seq} breaks contiguity at {len(self._uids) + 1}"
                 )
-            self._slots.append((uid, decision is Decision.VISIBLE))
+            visible = decision is Decision.VISIBLE
+            self._uids.append(uid)
+            self._visible.append(visible)
+            any_visible = any_visible or visible
+        return any_visible
+
+    def _virtual_index(self) -> list[int]:
+        """Slot i -> number of visible slots in 0..i (its virtual seq if visible)."""
+        if self._virtual_by_slot is None:
+            self._virtual_by_slot = list(accumulate(self._visible))
+        return self._virtual_by_slot
 
     # -- introspection ---------------------------------------------------
 
     def exists(self) -> int:
         """Number of messages the sub-user can see."""
-        return sum(1 for _, visible in self._slots if visible)
+        return len(self.visible_uids())
 
     def upstream_exists(self) -> int:
-        return len(self._slots)
+        return len(self._uids)
 
     def hidden_uids(self) -> frozenset[int]:
-        return frozenset(uid for uid, visible in self._slots if not visible)
+        return frozenset(uid for uid, visible in zip(self._uids, self._visible) if not visible)
 
     def visible_uids(self) -> tuple[int, ...]:
         """UIDs of visible messages in mailbox order."""
-        return tuple(uid for uid, visible in self._slots if visible)
+        if self._visible_uids is None:
+            self._visible_uids = tuple(compress(self._uids, self._visible))
+        return self._visible_uids
+
+    def visible_uid_set(self) -> frozenset[int]:
+        """The same UIDs as a set; a later update replaces, never mutates, it."""
+        if self._visible_uid_set is None:
+            self._visible_uid_set = frozenset(self.visible_uids())
+        return self._visible_uid_set
 
     def uid_visible(self, uid: int) -> bool:
-        return any(visible and u == uid for u, visible in self._slots)
+        return uid in self.visible_uid_set()
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(virtual_seq, upstream_seq, uid) rows for every visible message."""
         rows = []
         virtual = 0
-        for idx, (uid, visible) in enumerate(self._slots):
+        for idx, (uid, visible) in enumerate(zip(self._uids, self._visible)):
             if visible:
                 virtual += 1
                 rows.append((virtual, idx + 1, uid))
@@ -93,9 +130,10 @@ class ViewMap:
         Expansion happens against the virtual mailbox size, so out-of-range
         virtual numbers drop out here and never reach the upstream server.
         """
-        upstream_by_virtual = [upstream for _, upstream, _ in self.entries()]
-        chosen = virtual_set.expand(len(upstream_by_virtual))
-        return SequenceSet.from_numbers([upstream_by_virtual[v - 1] for v in chosen])
+        virtual_by_slot = self._virtual_index()
+        chosen = virtual_set.expand(self.exists())
+        # the first slot whose running count reaches v is the v-th visible one
+        return SequenceSet.from_numbers([bisect_left(virtual_by_slot, v) + 1 for v in chosen])
 
     def map_down_seq(self, upstream_seq: int):
         """Virtual sequence number for *upstream_seq*, or HIDDEN.
@@ -103,16 +141,15 @@ class ViewMap:
         A sequence number beyond what upstream has announced means this
         session's model has desynced; that is not survivable.
         """
-        if not 1 <= upstream_seq <= len(self._slots):
+        if not 1 <= upstream_seq <= len(self._uids):
             raise UnknownSeq(f"upstream seq {upstream_seq} out of range")
-        uid, visible = self._slots[upstream_seq - 1]
-        if not visible:
+        if not self._visible[upstream_seq - 1]:
             return HIDDEN
-        return sum(1 for _, vis in self._slots[:upstream_seq] if vis)
+        return self._virtual_index()[upstream_seq - 1]
 
     def filter_uids(self, uids: Sequence[int]) -> list[int]:
         """Drop hidden and unknown UIDs, preserving input order."""
-        visible = set(self.visible_uids())
+        visible = self.visible_uid_set()
         return [uid for uid in uids if uid in visible]
 
     # -- live updates ------------------------------------------------------
@@ -124,10 +161,12 @@ class ViewMap:
         None when the expunged message was hidden (the client sees no
         traffic at all).
         """
-        if not 1 <= upstream_seq <= len(self._slots):
+        if not 1 <= upstream_seq <= len(self._uids):
             raise UnknownSeq(f"cannot expunge upstream seq {upstream_seq}")
         translated = self.map_down_seq(upstream_seq)
-        del self._slots[upstream_seq - 1]
+        self._changed()
+        del self._uids[upstream_seq - 1]
+        del self._visible[upstream_seq - 1]
         return None if translated is HIDDEN else translated
 
     def extend_on_new(
@@ -138,14 +177,5 @@ class ViewMap:
         Returns the new virtual EXISTS count iff at least one newcomer is
         visible; hidden arrivals are silent.
         """
-        any_visible = False
-        for upstream_seq, uid, decision in new_messages:
-            if upstream_seq != len(self._slots) + 1:
-                raise InconsistentInput(
-                    f"new message seq {upstream_seq} breaks contiguity at "
-                    f"{len(self._slots) + 1}"
-                )
-            visible = decision is Decision.VISIBLE
-            self._slots.append((uid, visible))
-            any_visible = any_visible or visible
+        any_visible = self._append(new_messages, "new message seq")
         return self.exists() if any_visible else None

@@ -125,19 +125,21 @@ class ScriptedUpstream:
 
 
 @pytest.fixture
-def scripted_owner(tmp_path, master_key):
-    """Factory: an owner client logged in through a proxy whose upstream is
-    a ScriptedUpstream running *script*. Returns (client, upstream)."""
+def scripted_session(tmp_path, master_key):
+    """Factory: a client logged in with *password* (the owner's by default)
+    through a proxy whose upstream is a ScriptedUpstream running *script*.
+    Returns (client, upstream)."""
     opened = []
 
-    def _open(script):
+    def _open(script, password=OWNER_PASSWORD):
         upstream = ScriptedUpstream(script)
         cs = make_household_store(tmp_path / "store.json", upstream.port, master_key)
         proxy = ProxyServer(ProxyConfig(store_path=cs.path, listen_port=0), cs, master_key)
         proxy.start()
         client = ImapClient(proxy.port)
         opened.append((client, proxy, upstream))
-        assert client.cmd(b"t0 LOGIN person@gmail.com appleball\r\n")[-1].startswith(b"t0 OK")
+        login = b"t0 LOGIN person@gmail.com %s\r\n" % password.encode()
+        assert client.cmd(login)[-1].startswith(b"t0 OK")
         return client, upstream
 
     yield _open

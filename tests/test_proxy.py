@@ -2,6 +2,7 @@
 
 import base64
 import json
+import logging
 import socket
 import threading
 
@@ -16,9 +17,18 @@ from conftest import (
     ImapClient,
     make_household_store,
 )
+from chamail import decisions
 from chamail.credstore import CredStore, UpstreamSpec
 from chamail.errors import ConfigError
+from chamail.imapcodec import parse_sequence_set
 from chamail.mockimap import FixtureMailbox, MockIMAPServer, StoredMessage
+from chamail.policy import (
+    KeywordConstraint,
+    KeywordMode,
+    PolicySet,
+    SenderConstraint,
+    SenderMode,
+)
 from chamail.proxy import ProxyConfig, ProxyServer, UpstreamOverride, load_config
 
 
@@ -221,7 +231,7 @@ def test_owner_logout_relays_bye(owner_session, mock6):
     assert mock6.received_verbs()[-1] == "LOGOUT"
 
 
-def test_owner_replies_stream_before_the_tagged_line(scripted_owner):
+def test_owner_replies_stream_before_the_tagged_line(scripted_session):
     release = threading.Event()
 
     def script(line, send):
@@ -229,7 +239,7 @@ def test_owner_replies_stream_before_the_tagged_line(scripted_owner):
         release.wait(10)
         send(line.split(b" ", 1)[0] + b" OK NOOP completed\r\n")
 
-    client, _upstream = scripted_owner(script)
+    client, _upstream = scripted_session(script)
     client.sock.settimeout(5)
     client.send(b"a1 NOOP\r\n")
     try:
@@ -239,7 +249,7 @@ def test_owner_replies_stream_before_the_tagged_line(scripted_owner):
     assert client._read() == b"a1 OK NOOP completed\r\n"
 
 
-def test_owner_gets_the_upstream_refusal_of_a_literal(scripted_owner):
+def test_owner_gets_the_upstream_refusal_of_a_literal(scripted_session):
     def script(line, send):
         tag = line.split(b" ", 1)[0]
         if b"APPEND" in line:
@@ -247,7 +257,7 @@ def test_owner_gets_the_upstream_refusal_of_a_literal(scripted_owner):
         else:
             send(tag + b" OK NOOP completed\r\n")
 
-    client, upstream = scripted_owner(script)
+    client, upstream = scripted_session(script)
     out = {}
 
     def talk():
@@ -628,3 +638,176 @@ def test_policy_snapshot_held_until_reselect(spouse_session, store6):
     # a fresh SELECT re-reads the policy
     out = spouse_session.cmd(b"t4 SELECT INBOX\r\n")
     assert b"* 6 EXISTS\r\n" in out
+
+
+# -- decision cache -------------------------------------------------------------------
+
+
+SPOUSE_BLACKLIST = (SenderConstraint(SenderMode.BLACKLIST, "exes"),)
+
+
+def _metadata_fetches(mock) -> list[bytes]:
+    """Upstream FETCHes that read headers or body excerpts for the policy."""
+    return [
+        cmd.rest
+        for cmd in mock.received
+        if cmd.name == "FETCH"
+        and (b"BODY.PEEK[HEADER.FIELDS" in cmd.rest or b"BODY.PEEK[TEXT]" in cmd.rest)
+    ]
+
+
+@pytest.mark.parametrize(
+    "keywords, exists, unseen",
+    [
+        ((), 4, 3),
+        ((KeywordConstraint(KeywordMode.FORBID_ANY, frozenset({"deals"})),), 3, 2),
+    ],
+    ids=["senders", "senders+keywords"],
+)
+def test_unchanged_mailbox_is_not_evaluated_again(
+    spouse_session, store6, mock6, keywords, exists, unseen
+):
+    store6.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, keywords))
+    mock6.clear_log()
+    out = spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    assert b"* %d EXISTS\r\n" % exists in out
+    first = _metadata_fetches(mock6)
+    assert any(b"HEADER.FIELDS" in rest for rest in first)
+    assert any(b"BODY.PEEK[TEXT]" in rest for rest in first) == bool(keywords)
+
+    mock6.clear_log()
+    out = spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    assert b"* %d EXISTS\r\n" % exists in out
+    out = spouse_session.cmd(b"t4 STATUS INBOX (MESSAGES UNSEEN)\r\n")
+    assert out[0] == b"* STATUS INBOX (MESSAGES %d UNSEEN %d)\r\n" % (exists, unseen)
+    assert _metadata_fetches(mock6) == []
+    assert mock6.received_verbs() == ["EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH"]
+
+
+def test_blacklisting_a_visible_sender_hides_it_at_reselect(spouse_session, store6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    store6.manage_list(ACCOUNT, "add-member", "exes", "mom@family.example")
+    store6.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST))
+    out = spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    assert b"* 3 EXISTS\r\n" in out
+    out = spouse_session.cmd(b"t4 FETCH 1:* (UID)\r\n")
+    assert out[:-1] == [
+        b"* 1 FETCH (UID 10)\r\n",
+        b"* 2 FETCH (UID 40)\r\n",
+        b"* 3 FETCH (UID 60)\r\n",
+    ]
+    assert spouse_session.cmd(b"t5 UID SEARCH ALL\r\n")[0] == b"* SEARCH 10 40 60\r\n"
+    assert spouse_session.cmd(b"t6 SEARCH FROM mom@family.example\r\n")[0] == b"* SEARCH\r\n"
+
+
+def test_new_uidvalidity_reevaluates_the_same_uids(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    inbox = mock6.mailboxes["INBOX"]
+    inbox.uidvalidity += 1
+    inbox.messages[1].raw = b"From: ex@gmail.com\r\nSubject: IRIS3316\r\n\r\nIRISBODY\r\n"
+    mock6.clear_log()
+    out = spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    assert b"* 3 EXISTS\r\n" in out
+    assert b"* OK [UIDVALIDITY 4243] UIDs valid\r\n" in out
+    assert _metadata_fetches(mock6)
+    out = spouse_session.cmd(b"t4 FETCH 1:* (UID BODY.PEEK[HEADER.FIELDS (SUBJECT)])\r\n")
+    assert len(out) == 4
+    assert not any(b"IRIS" in blob or b"UID 20" in blob for blob in out)
+
+
+def test_two_servers_never_share_decisions(proxy6, store6, mock6, master_key):
+    config = ProxyConfig(
+        store_path=store6.path,
+        listen_port=0,
+        upstream_overrides={ACCOUNT: UpstreamOverride("127.0.0.1", mock6.port)},
+    )
+    with ProxyServer(config, store6, master_key) as other:
+        # each server evaluates the mailbox on its own first SELECT only
+        for proxy, evaluates in ((proxy6, True), (other, True), (proxy6, False)):
+            client = ImapClient(proxy.port)
+            try:
+                client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")
+                mock6.clear_log()
+                assert b"* 4 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+                assert bool(_metadata_fetches(mock6)) == evaluates
+                client.cmd(b"t3 LOGOUT\r\n")
+            finally:
+                client.close()
+
+
+def test_eviction_keeps_decisions_correct(two_box, monkeypatch):
+    monkeypatch.setattr(decisions, "CAP_UIDS", 6)  # INBOX's six UIDs, not Archive's too
+    mock, proxy = two_box
+    client = ImapClient(proxy.port)
+    try:
+        client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")
+        for _ in range(2):
+            for box, exists, uids in ((b"INBOX", 4, b"10 20 40 60"), (b"Archive", 1, b"110")):
+                mock.clear_log()
+                out = client.cmd(b"t2 SELECT " + box + b"\r\n")
+                assert b"* %d EXISTS\r\n" % exists in out
+                assert _metadata_fetches(mock)  # the other mailbox pushed this one out
+                assert client.cmd(b"t3 UID SEARCH ALL\r\n")[0] == b"* SEARCH " + uids + b"\r\n"
+        assert proxy.decisions._size <= 6
+    finally:
+        client.close()
+
+
+def _scripted_mailbox(box):
+    """Script for a ScriptedUpstream serving box["exists"] messages with
+    UIDs 10, 20, ...; with box["lie"] set, the header FETCH reports each
+    UID one higher than the (UID FLAGS) FETCH."""
+    header = b"From: friend@uni.example\r\n\r\n"
+
+    def script(line, send):
+        tag, verb = line.split()[:2]
+        if verb == b"EXAMINE":
+            send(b"* %d EXISTS\r\n* OK [UIDVALIDITY 9] UIDs valid\r\n" % box["exists"])
+        elif verb == b"FETCH":
+            with_header = b"HEADER.FIELDS" in line
+            for seq in parse_sequence_set(line.split(b" ")[2].decode()).expand(box["exists"]):
+                uid = seq * 10 + (1 if box["lie"] and with_header else 0)
+                attrs = b"UID %d FLAGS ()" % uid
+                if with_header:
+                    attrs += b" BODY[HEADER.FIELDS (FROM)] {%d}\r\n" % len(header) + header
+                send(b"* %d FETCH (" % seq + attrs + b")\r\n")
+        send(tag + b" OK " + verb + b" completed\r\n")
+
+    return script
+
+
+def test_uid_desync_between_fetches_fails_select_and_caches_nothing(scripted_session):
+    box = {"exists": 2, "lie": False}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    box.update(exists=3, lie=True)
+    out = client.cmd(b"t2 SELECT INBOX\r\n")
+    assert out == [b"t2 NO cannot open mailbox with filtering guaranteed\r\n"]
+    assert client.cmd(b"t3 NOOP\r\n") == [b"t3 OK NOOP completed\r\n"]
+    box["lie"] = False
+    out = client.cmd(b"t4 SELECT INBOX\r\n")
+    assert b"* 3 EXISTS\r\n" in out
+    header_fetches = [
+        line.split(b" ", 1)[1] for line in upstream.lines if b"HEADER.FIELDS" in line
+    ]
+    # the failed SELECT left nothing behind: the third message is fetched again
+    assert [line.split(b" (", 1)[0] for line in header_fetches] == [
+        b"FETCH 1:2",
+        b"FETCH 3",
+        b"FETCH 3",
+    ]
+
+
+def test_select_logs_cache_counts_only(spouse_session, caplog):
+    with caplog.at_level(logging.INFO, logger="chamail.proxy"):
+        spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+        spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+        spouse_session.cmd(b"t4 STATUS INBOX (MESSAGES)\r\n")
+    lines = [r.getMessage() for r in caplog.records if "policy decisions" in r.getMessage()]
+    assert [line.rsplit(": ", 1)[1] for line in lines] == [
+        "0 cached, 6 evaluated",
+        "6 cached, 0 evaluated",
+        "6 cached, 0 evaluated",
+    ]
+    text = " ".join(lines).lower()
+    assert not any(word in text for word in ("ex@gmail", "tulip", "orchid", "mom@", "dinner"))

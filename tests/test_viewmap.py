@@ -191,3 +191,50 @@ def test_incremental_equals_rebuild(initial, operations):
         # ...and the count identity holds
         assert view.exists() + len(view.hidden_uids()) == view.upstream_exists()
         assert view.upstream_exists() == len(rows)
+
+
+@given(st.lists(st.booleans(), max_size=12), ops, st.data())
+def test_indexed_lookups_follow_updates(initial, operations, data):
+    """Every lookup served from the cached indexes agrees with the shadow
+    model after each update, and with lookups made before the update."""
+    next_uid = 1000
+    rows = []
+    for visible in initial:
+        rows.append((next_uid, visible))
+        next_uid += 7
+    view = ViewMap(
+        [(i + 1, uid, V if vis else H) for i, (uid, vis) in enumerate(rows)], 1
+    )
+    for op in operations:
+        view.map_up(parse_sequence_set("1:*"))  # build the indexes before each update
+        if op[0] == "expunge":
+            if not rows:
+                continue
+            seq = (op[1] - 1) % len(rows) + 1
+            view.apply_upstream_expunge(seq)
+            del rows[seq - 1]
+        else:
+            batch = []
+            for visible in op[1]:
+                rows.append((next_uid, visible))
+                batch.append((len(rows), next_uid, V if visible else H))
+                next_uid += 7
+            view.extend_on_new(batch)
+
+        shadow = shadow_entries(rows)
+        visible_uids = tuple(uid for _, _, uid in shadow)
+        virtual_of = {upstream: virtual for virtual, upstream, _ in shadow}
+        assert view.visible_uids() == visible_uids
+        assert view.visible_uid_set() == frozenset(visible_uids)
+        assert view.exists() == len(shadow)
+        for upstream in range(1, len(rows) + 1):
+            assert view.map_down_seq(upstream) == virtual_of.get(upstream, HIDDEN)
+        for uid, _ in rows:
+            assert view.uid_visible(uid) == (uid in visible_uids)
+        asked = data.draw(st.lists(st.integers(1, len(shadow) + 2), min_size=1, max_size=6))
+        mapped = view.map_up(parse_sequence_set(",".join(map(str, asked))))
+        assert mapped.expand(len(rows)) == sorted(
+            {shadow[v - 1][1] for v in asked if v <= len(shadow)}
+        )
+        probe = [uid for uid, _ in rows] + [1, next_uid]
+        assert view.filter_uids(probe) == [uid for uid in probe if uid in visible_uids]
