@@ -446,6 +446,62 @@ def parse_sequence_set(text: str) -> SequenceSet:
     return SequenceSet(tuple(merged))
 
 
+# -- SEARCH criteria -------------------------------------------------------------
+
+# RFC 3501 §6.4.4 keys that take arguments, with how many. NOT and OR take
+# search keys, which are scanned like any others; UID takes a sequence set.
+_SEARCH_KEY_ARGS = dict.fromkeys(
+    b"BCC BEFORE BODY CC CHARSET FROM KEYWORD LARGER ON SENTBEFORE SENTON SENTSINCE SINCE"
+    b" SMALLER SUBJECT TEXT TO UNKEYWORD".split(),
+    1,
+) | {b"HEADER": 2}
+# a literal (its body follows), a quoted string, an atom, or a delimiter
+_SEARCH_TOKEN_RE = re.compile(rb'\{(\d+)\+?\}\r\n|"(?:[^"\\]|\\.)*"|[^ ()"{]+|[ ()]')
+_SEQ_SET_TOKEN_RE = re.compile(rb"[0-9*][0-9:,*]*")
+
+
+def map_search_sets(
+    criteria: bytes,
+    map_seqs: Callable[[SequenceSet], SequenceSet],
+    map_uids: Callable[[SequenceSet], SequenceSet],
+) -> bytes:
+    """Rewrite the sequence sets in SEARCH *criteria*, keeping every other
+    byte verbatim.
+
+    A bare sequence set goes through *map_seqs* and the set after UID
+    through *map_uids*. Quoted strings, literals and the arguments of the
+    keys that take them are passed over. A set that maps to nothing, or
+    criteria that cannot be scanned, raise ImapSyntaxError.
+    """
+    out = bytearray()
+    pos = 0
+    skip = 0  # key arguments still to pass over
+    after_uid = False
+    while pos < len(criteria):
+        m = _SEARCH_TOKEN_RE.match(criteria, pos)
+        if m is None:
+            raise ImapSyntaxError(f"cannot scan SEARCH criteria at {criteria[pos : pos + 20]!r}")
+        literal = m.group(1) is not None
+        end = m.end() + int(m.group(1)) if literal else m.end()
+        token, pos = criteria[pos:end], end
+        if token in (b" ", b"(", b")"):
+            pass
+        elif skip:
+            skip -= 1
+        elif after_uid or _SEQ_SET_TOKEN_RE.fullmatch(token):
+            mapper = map_uids if after_uid else map_seqs
+            mapped = mapper(parse_sequence_set(token.decode("latin-1")))
+            if not mapped.ranges:
+                raise ImapSyntaxError("invalid sequence set")
+            token = mapped.render().encode("ascii")
+            after_uid = False
+        elif not literal and token[:1] != b'"':
+            skip = _SEARCH_KEY_ARGS.get(token.upper(), 0)
+            after_uid = token.upper() == b"UID"
+        out += token
+    return bytes(out)
+
+
 # -- responses -------------------------------------------------------------------
 
 

@@ -405,9 +405,7 @@ class MockIMAPServer:
         self._lock = threading.Lock()
         self._pending = _PendingEvents()
         self._sock = socket.create_server((host, port))
-        self._sock.settimeout(0.2)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._conn: socket.socket | None = None
 
@@ -419,13 +417,14 @@ class MockIMAPServer:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
-        conn = self._conn
-        if conn is not None:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        # Shutting the listening socket down wakes a blocked accept();
+        # shutting the connection down ends its handler.
+        for sock in (self._sock, self._conn):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         if self._thread is not None:
             self._thread.join(timeout=5)
         self._sock.close()
@@ -475,12 +474,10 @@ class MockIMAPServer:
     # -- serving -----------------------------------------------------------
 
     def _serve_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # stop() shut the listening socket down
                 return
             self._conn = conn
             try:

@@ -4,7 +4,7 @@ A client connects, logs in with the account email plus any of the
 account's passwords, and the proxy resolves which principal that password
 belongs to. The owner gets a byte-transparent relay to the upstream
 server. A sub-user gets a read-only, policy-filtered mailbox: hidden
-messages are renumbered away, their UIDs never cross the wire, and every
+messages are renumbered away, their UIDs never reach the client, and every
 mutating command dies at the proxy with a permission error.
 
 Fail-closed rules, in one place:
@@ -534,14 +534,13 @@ class ClientSession:
         if isinstance(resp, ExpungeEvent):
             if view is None:
                 return
-            pending = self._pending_exists
-            if pending is not None:
+            newcomer = self._is_newcomer(resp.seq)
+            if self._pending_exists is not None:
                 # An EXISTS earlier in this response counted messages that
-                # later expunges shrink, and a newcomer the view has not
-                # taken in yet may be the one that left.
-                self._pending_exists = pending - 1
-                if view.upstream_exists() < resp.seq <= pending:
-                    return
+                # later expunges shrink, and a newcomer may be the one that left.
+                self._pending_exists -= 1
+            if newcomer:
+                return
             try:
                 virtual = view.apply_upstream_expunge(resp.seq)
             except UnknownSeq as exc:
@@ -558,7 +557,7 @@ class ClientSession:
         elif isinstance(resp, Recent):
             pass
         elif isinstance(resp, FetchData):
-            if view is None:
+            if view is None or self._is_newcomer(resp.seq):
                 return
             try:
                 virtual = view.map_down_seq(resp.seq)
@@ -572,6 +571,13 @@ class ClientSession:
                     raise SessionAborted("UIDVALIDITY changed mid-session")
         # everything else (FLAGS lists, LIST data, alerts) is dropped:
         # the sub-user engine only forwards what it understands.
+
+    def _is_newcomer(self, seq: int) -> bool:
+        """Whether upstream *seq* is an arrival the upstream has announced
+        (EXISTS) and the view has not taken in yet. Its replies are dropped
+        until _flush_pending_exists decides whether the sub-user may see it."""
+        pending, view = self._pending_exists, self.view
+        return pending is not None and view is not None and view.upstream_exists() < seq <= pending
 
     def _flush_pending_exists(self) -> None:
         """Fetch metadata for newly arrived messages and maybe announce them."""
@@ -828,11 +834,8 @@ class ClientSession:
                 return True
             return False
 
-        tagged = self._subuser_exchange(
-            cmd.tag.encode("ascii") + b" " + cmd.name.encode("ascii") + b" " + cmd.rest + CRLF,
-            cmd.tag,
-            collect,
-        )
+        upstream_blob = f"{cmd.tag} {cmd.name} ".encode("ascii") + cmd.rest + CRLF
+        tagged = self._subuser_exchange(upstream_blob, cmd.tag, collect)
         self._flush_pending_exists()
         for raw in collected:
             self._send(raw)
@@ -844,7 +847,7 @@ class ClientSession:
         if not items_raw.startswith(b"(") or not items_raw.endswith(b")"):
             self._tagged(cmd.tag, "BAD", "STATUS items must be parenthesized")
             return
-        requested = [item.decode("ascii").upper() for item in items_raw[1:-1].split()]
+        requested = [item.decode("ascii", "replace").upper() for item in items_raw[1:-1].split()]
         if not requested:
             self._tagged(cmd.tag, "BAD", "no STATUS items")
             return
@@ -985,33 +988,27 @@ class ClientSession:
         assert self.upstream is not None and cmd.seq_set is not None
         view = self.view
 
+        # Only the endpoints of each range are translated: the upstream set
+        # and the client's agree on every visible message, and the relay
+        # drops the rows of hidden ones.
         if cmd.verb is Verb.FETCH:
             mapped = view.map_up(cmd.seq_set)
             if not mapped.ranges:
                 self._tagged(cmd.tag, "BAD", "invalid sequence set")
                 return
-            upstream_blob = (
-                f"{cmd.tag} FETCH {mapped.render()} ".encode("ascii") + cmd.rest + CRLF
-            )
         else:
-            visible = view.visible_uids()
-            max_uid = visible[-1] if visible else 0
-            wanted = [
-                uid for uid in visible if _uid_in_requested(uid, cmd.seq_set, max_uid)
-            ]
-            if not wanted:
+            mapped = view.map_up_uids(cmd.seq_set)
+            if not mapped.ranges:  # nothing visible
                 self._tagged(cmd.tag, "OK", completion_text(cmd.name))
                 return
-            uid_set = SequenceSet.from_numbers(wanted)
-            upstream_blob = (
-                f"{cmd.tag} UID FETCH {uid_set.render()} ".encode("ascii") + cmd.rest + CRLF
-            )
-
+        upstream_blob = f"{cmd.tag} {cmd.name} {mapped.render()} ".encode("ascii") + cmd.rest + CRLF
         allowed_uids = view.visible_uid_set()
 
         def relay(resp) -> bool:
             if not isinstance(resp, FetchData):
                 return False
+            if self._is_newcomer(resp.seq):
+                return True
             try:
                 virtual = view.map_down_seq(resp.seq)
             except UnknownSeq as exc:
@@ -1039,9 +1036,18 @@ class ClientSession:
             return
         assert self.upstream is not None
         view = self.view
-        upstream_blob = (
-            cmd.tag.encode("ascii") + b" " + cmd.name.encode("ascii") + b" " + cmd.rest + CRLF
-        )
+        if not view.exists():
+            self._send(imapcodec.render_response(SearchData(())))
+            self._tagged(cmd.tag, "OK", completion_text(cmd.name))
+            return
+        # Sequence sets are translated as FETCH translates them; the hits
+        # are filtered below, so NOT and OR stay exact.
+        try:
+            criteria = imapcodec.map_search_sets(cmd.rest, view.map_up, view.map_up_uids)
+        except ImapSyntaxError as exc:
+            self._tagged(cmd.tag, "BAD", str(exc))
+            return
+        upstream_blob = f"{cmd.tag} {cmd.name} ".encode("ascii") + criteria + CRLF
         hits: list[int] = []
 
         def collect(resp) -> bool:
@@ -1086,16 +1092,6 @@ def _section(attrs: dict, prefix: str, seq: int):
     raise SessionAborted(f"malformed metadata for seq {seq}: no {prefix}")
 
 
-def _uid_in_requested(uid: int, seq_set: SequenceSet, max_visible_uid: int) -> bool:
-    """UID-set membership where '*' resolves to the largest *visible* uid."""
-    for lo, hi in seq_set.ranges:
-        a = max_visible_uid if lo is None else lo
-        b = max_visible_uid if hi is None else hi
-        if min(a, b) <= uid <= max(a, b):
-            return True
-    return False
-
-
 # -- the listener --------------------------------------------------------------------
 
 
@@ -1105,14 +1101,12 @@ class ProxyServer:
         self.credstore = credstore
         self.master_key = master_key
         self._sock = socket.create_server((config.listen_host, config.listen_port))
-        self._sock.settimeout(0.2)
         self.host, self.port = self._sock.getsockname()[:2]
         self._ssl_context: ssl.SSLContext | None = None
         if config.tls_certfile:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(config.tls_certfile, config.tls_keyfile)
             self._ssl_context = context
-        self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._sessions: list[threading.Thread] = []
         self.decisions = DecisionCache()
@@ -1124,12 +1118,10 @@ class ProxyServer:
 
     def serve_forever(self) -> None:
         log.info("listening on %s:%d", self.host, self.port)
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # stop() shut the listening socket down
                 return
             if self._ssl_context is not None:
                 try:
@@ -1145,7 +1137,10 @@ class ProxyServer:
             self._sessions = [t for t in self._sessions if t.is_alive()]
 
     def stop(self) -> None:
-        self._stop.set()
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
+        except OSError:
+            pass
         if self._thread is not None:
             self._thread.join(timeout=5)
         self._sock.close()

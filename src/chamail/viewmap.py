@@ -127,13 +127,39 @@ class ViewMap:
     def map_up(self, virtual_set: SequenceSet) -> SequenceSet:
         """Translate a client sequence-set into upstream sequence numbers.
 
-        Expansion happens against the virtual mailbox size, so out-of-range
-        virtual numbers drop out here and never reach the upstream server.
+        Each client range, with '*' as the virtual EXISTS and clipped to
+        1..EXISTS as SequenceSet.expand clips, becomes one upstream range
+        from its first visible message to its last. The hidden messages in
+        between are asked for too; the caller drops their replies. Ranges
+        wholly out of range drop out and never reach the upstream server.
         """
+        exists = self.exists()
         virtual_by_slot = self._virtual_index()
-        chosen = virtual_set.expand(self.exists())
-        # the first slot whose running count reaches v is the v-th visible one
-        return SequenceSet.from_numbers([bisect_left(virtual_by_slot, v) + 1 for v in chosen])
+
+        def upstream_seq(virtual: int) -> int:
+            # the first slot whose running count reaches v is the v-th visible one
+            return bisect_left(virtual_by_slot, virtual) + 1
+
+        ranges = []
+        for lo, hi in virtual_set.ranges:
+            a = exists if lo is None else lo
+            b = exists if hi is None else hi
+            start, stop = max(min(a, b), 1), min(max(a, b), exists)
+            if start <= stop:
+                ranges.append((upstream_seq(start), upstream_seq(stop)))
+        return SequenceSet(tuple(ranges))
+
+    def map_up_uids(self, uid_set: SequenceSet) -> SequenceSet:
+        """A client UID set for the upstream: UIDs pass through and '*' is
+        the largest *visible* UID. Empty when nothing is visible."""
+        visible = self.visible_uids()
+        if not visible:
+            return SequenceSet(())
+        star = visible[-1]
+        ranges = [
+            (star if lo is None else lo, star if hi is None else hi) for lo, hi in uid_set.ranges
+        ]
+        return SequenceSet(tuple(ranges))
 
     def map_down_seq(self, upstream_seq: int):
         """Virtual sequence number for *upstream_seq*, or HIDDEN.

@@ -25,6 +25,7 @@ from chamail.imapcodec import (
     UntaggedStatus,
     Verb,
     WRITE_VERBS,
+    map_search_sets,
     parse_command,
     parse_fetch_attrs,
     parse_response,
@@ -235,6 +236,52 @@ def test_normalization_is_render_stable(text):
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=20))
 def test_from_numbers_expand_roundtrip(numbers):
     assert SequenceSet.from_numbers(numbers).expand(60) == sorted(set(numbers))
+
+
+# -- SEARCH criteria ---------------------------------------------------------------
+
+
+def _tag_sets(criteria: bytes) -> bytes:
+    """map_search_sets with mappers that mark which set went where."""
+    return map_search_sets(
+        criteria,
+        lambda s: SequenceSet(((100, 100),)) if s.render() == "*" else SequenceSet(((7, 8),)),
+        lambda s: SequenceSet(((99, 99),)),
+    )
+
+
+@pytest.mark.parametrize(
+    "criteria, expected",
+    [
+        (b"ALL", b"ALL"),
+        (b"3", b"7:8"),
+        (b"*", b"100"),
+        (b"NOT 3:4 UNSEEN", b"NOT 7:8 UNSEEN"),
+        (b"OR 1 (2,5 SEEN) uid 1:*", b"OR 7:8 (7:8 SEEN) uid 99"),
+        (b"(1)", b"(7:8)"),
+        (b"LARGER 500 SMALLER 9000", b"LARGER 500 SMALLER 9000"),
+        (b"HEADER X-Seq 5 1", b"HEADER X-Seq 5 7:8"),
+        (b"UNKEYWORD 8 2", b"UNKEYWORD 8 7:8"),
+        (b'HEADER "X-Seq" "5" 1', b'HEADER "X-Seq" "5" 7:8'),
+        (b"SUBJECT {1}\r\n5 2", b"SUBJECT {1}\r\n5 7:8"),
+        (b'CHARSET UTF-8 TEXT "a\\"b 3" 4', b'CHARSET UTF-8 TEXT "a\\"b 3" 7:8'),
+        (b"FROM UID 3", b"FROM UID 7:8"),
+        (b"SINCE 1-Feb-1994 KEYWORD 7 2", b"SINCE 1-Feb-1994 KEYWORD 7 7:8"),
+    ],
+)
+def test_map_search_sets_rewrites_only_sequence_sets(criteria, expected):
+    assert _tag_sets(criteria) == expected
+
+
+def test_map_search_sets_rejects():
+    nothing = lambda s: SequenceSet(())  # noqa: E731
+    with pytest.raises(ImapSyntaxError, match="invalid sequence set"):
+        map_search_sets(b"SEEN 9", nothing, nothing)
+    with pytest.raises(ImapSyntaxError, match="invalid sequence set"):
+        map_search_sets(b"UID 9", nothing, nothing)
+    for bad in (b"UID SEEN", b"1::2", b'FROM "open', b"X{y"):
+        with pytest.raises(ImapSyntaxError):
+            _tag_sets(bad)
 
 
 # -- responses -------------------------------------------------------------------

@@ -353,6 +353,50 @@ def test_subuser_search_maps_sequences(spouse_session):
     )
 
 
+def test_subuser_search_translates_sequence_sets(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.clear_log()
+    # virtual 3 is upstream 4; virtual 3:4 spans the hidden upstream 5
+    assert spouse_session.cmd(b"t3 SEARCH 3\r\n")[0] == b"* SEARCH 3\r\n"
+    assert spouse_session.cmd(b"t4 SEARCH 3:4\r\n")[0] == b"* SEARCH 3 4\r\n"
+    assert spouse_session.cmd(b"t5 SEARCH FROM ex@gmail.com 1:*\r\n")[0] == b"* SEARCH\r\n"
+    out = spouse_session.cmd(b"t6 SEARCH SUBJECT {6}\r\ndinner 2:*\r\n")
+    assert out == [b"+ \r\n", b"* SEARCH 2\r\n", b"t6 OK SEARCH completed\r\n"]
+    assert [cmd.rest for cmd in mock6.received] == [
+        b"4",
+        b"4:6",
+        b"FROM ex@gmail.com 1:6",
+        b"SUBJECT {6}\r\ndinner 2:6",
+    ]
+    mock6.clear_log()
+    assert spouse_session.cmd(b"t7 SEARCH 9\r\n") == [b"t7 BAD invalid sequence set\r\n"]
+    assert mock6.received_verbs() == []
+
+
+def test_empty_view_answers_search_and_uid_fetch_locally(spouse_session, store6, mock6):
+    store6.manage_list(ACCOUNT, "create", "nobody")
+    store6.set_policy(
+        ACCOUNT, "spouse", PolicySet((SenderConstraint(SenderMode.WHITELIST, "nobody"),))
+    )
+    assert b"* 0 EXISTS\r\n" in spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.clear_log()
+    assert spouse_session.cmd(b"t3 SEARCH ALL\r\n") == [
+        b"* SEARCH\r\n",
+        b"t3 OK SEARCH completed\r\n",
+    ]
+    assert spouse_session.cmd(b"t4 UID SEARCH UID 1:*\r\n") == [
+        b"* SEARCH\r\n",
+        b"t4 OK UID SEARCH completed\r\n",
+    ]
+    assert spouse_session.cmd(b"t5 UID FETCH 1:* (FLAGS)\r\n") == [
+        b"t5 OK UID FETCH completed\r\n"
+    ]
+    assert spouse_session.cmd(b"t6 FETCH 1:* (FLAGS)\r\n") == [
+        b"t6 BAD invalid sequence set\r\n"
+    ]
+    assert mock6.received_verbs() == []
+
+
 def test_subuser_fetch_requires_selection(spouse_session):
     out = spouse_session.cmd(b"t2 FETCH 1 (UID)\r\n")
     assert out == [b"t2 NO no mailbox selected\r\n"]
@@ -499,6 +543,39 @@ def test_arrival_expunged_before_delivery_is_silent(spouse_session, mock6):
     assert out[0] == b"* SEARCH 1 2 3 4\r\n"
 
 
+HIDDEN_ARRIVAL = b"From: ex@gmail.com\r\nSubject: POPPY2266\r\n\r\nPOPPYBODY2266\r\n"
+VISIBLE_ARRIVAL = b"From: colleague@work.example\r\nSubject: standup\r\n\r\nmoved\r\n"
+
+
+def test_uid_fetch_drops_rows_of_arrivals_not_yet_taken_in(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL)
+    uid = mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL)
+    # the upstream answers rows for both arrivals; neither is relayed
+    out = spouse_session.cmd(b"t3 UID FETCH 1:100000 (FLAGS)\r\n")
+    assert out == [
+        b"* 1 FETCH (FLAGS (\\Seen) UID 10)\r\n",
+        b"* 2 FETCH (FLAGS () UID 20)\r\n",
+        b"* 3 FETCH (FLAGS () UID 40)\r\n",
+        b"* 4 FETCH (FLAGS () UID 60)\r\n",
+        b"* 5 EXISTS\r\n",
+        b"t3 OK UID FETCH completed\r\n",
+    ]
+    out = spouse_session.cmd(b"t4 UID FETCH 61:* (FLAGS)\r\n")
+    assert out[:-1] == [b"* 5 FETCH (FLAGS () UID %d)\r\n" % uid]
+
+
+def test_uid_star_is_largest_visible_after_hidden_arrival(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.mailboxes["INBOX"].uidnext = 70
+    assert mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL) == 70
+    assert spouse_session.cmd(b"t3 NOOP\r\n") == [b"t3 OK NOOP completed\r\n"]
+    # forwarded verbatim, '*' would be the upstream's 70 and match nothing visible
+    out = spouse_session.cmd(b"t4 UID FETCH 65:* (FLAGS)\r\n")
+    assert out[:-1] == [b"* 4 FETCH (FLAGS () UID 60)\r\n"]
+    assert spouse_session.cmd(b"t5 UID SEARCH UID 65:*\r\n")[0] == b"* SEARCH 60\r\n"
+
+
 def test_upstream_drop_terminates_session(spouse_session, mock6):
     spouse_session.cmd(b"t2 SELECT INBOX\r\n")
     mock6.drop_connection()
@@ -556,6 +633,12 @@ def test_status_reflects_concurrent_expunge(spouse_session, mock6):
 def test_status_unknown_item_rejected(spouse_session):
     out = spouse_session.cmd(b"t2 STATUS INBOX (HIGHESTMODSEQ)\r\n")
     assert out == [b"t2 BAD unknown STATUS item HIGHESTMODSEQ\r\n"]
+
+
+def test_status_non_ascii_item_rejected(spouse_session):
+    out = spouse_session.cmd("t2 STATUS INBOX (MESSé)\r\n".encode())
+    assert out == ["t2 BAD unknown STATUS item MESS\ufffd\ufffd\r\n".encode()]
+    assert spouse_session.cmd(b"t3 NOOP\r\n") == [b"t3 OK NOOP completed\r\n"]
 
 
 def test_status_unknown_mailbox(spouse_session):
@@ -755,25 +838,69 @@ def test_eviction_keeps_decisions_correct(two_box, monkeypatch):
 
 def _scripted_mailbox(box):
     """Script for a ScriptedUpstream serving box["exists"] messages with
-    UIDs 10, 20, ...; with box["lie"] set, the header FETCH reports each
-    UID one higher than the (UID FLAGS) FETCH."""
-    header = b"From: friend@uni.example\r\n\r\n"
+    UIDs 10, 20, ...; those whose seq is in box.get("hidden", ()) are from
+    a blacklisted sender. FETCH and UID FETCH answer every message in the
+    set, hidden or not; NOOP answers box.get("noop", b"") first. With
+    box["lie"] set, the header FETCH reports each UID one higher than the
+    (UID FLAGS) FETCH."""
 
     def script(line, send):
-        tag, verb = line.split()[:2]
+        words = line.split()
+        tag, verb = words[0], words[1]
         if verb == b"EXAMINE":
             send(b"* %d EXISTS\r\n* OK [UIDVALIDITY 9] UIDs valid\r\n" % box["exists"])
-        elif verb == b"FETCH":
+        elif verb == b"NOOP":
+            send(box.get("noop", b""))
+        elif verb in (b"FETCH", b"UID"):
             with_header = b"HEADER.FIELDS" in line
-            for seq in parse_sequence_set(line.split(b" ")[2].decode()).expand(box["exists"]):
+            exists = box["exists"]
+            asked = parse_sequence_set(words[3 if verb == b"UID" else 2].decode())
+            if verb == b"UID":
+                uids = set(asked.expand(exists * 10))
+                seqs = [seq for seq in range(1, exists + 1) if seq * 10 in uids]
+            else:
+                seqs = asked.expand(exists)
+            for seq in seqs:
                 uid = seq * 10 + (1 if box["lie"] and with_header else 0)
                 attrs = b"UID %d FLAGS ()" % uid
                 if with_header:
+                    hidden = seq in box.get("hidden", ())
+                    sender = b"ex@gmail.com" if hidden else b"friend@uni.example"
+                    header = b"From: %s\r\n\r\n" % sender
                     attrs += b" BODY[HEADER.FIELDS (FROM)] {%d}\r\n" % len(header) + header
                 send(b"* %d FETCH (" % seq + attrs + b")\r\n")
         send(tag + b" OK " + verb + b" completed\r\n")
 
     return script
+
+
+def test_subuser_fetch_sends_one_range_per_client_range(scripted_session):
+    box = {"exists": 9, "lie": False, "hidden": {3, 6, 9}}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 6 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    visible = [
+        b"* %d FETCH (UID %d FLAGS ())\r\n" % (virtual, uid)
+        for virtual, uid in enumerate((10, 20, 40, 50, 70, 80), start=1)
+    ]
+    for line, sent, rows in (
+        (b"t2 FETCH 1:* (FLAGS)", b"t2 FETCH 1:8 (FLAGS)", visible),
+        (b"t3 UID FETCH 1:* (FLAGS)", b"t3 UID FETCH 1:80 (FLAGS)", visible),
+        (b"t4 FETCH 1,4:5 (FLAGS)", b"t4 FETCH 1,5:7 (FLAGS)", visible[:1] + visible[3:5]),
+        (b"t5 UID FETCH 25:65 (FLAGS)", b"t5 UID FETCH 25:65 (FLAGS)", visible[2:4]),
+    ):
+        out = client.cmd(line + b"\r\n")
+        assert upstream.lines[-1] == sent + b"\r\n"
+        # the upstream answered the hidden messages in those ranges too
+        assert out[:-1] == rows
+        assert out[-1].startswith(line.split(b" ", 1)[0] + b" OK")
+
+
+def test_unsolicited_fetch_of_an_arrival_is_dropped(scripted_session):
+    box = {"exists": 2, "lie": False}
+    client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    box.update(exists=3, noop=b"* 3 EXISTS\r\n* 3 FETCH (FLAGS (\\Seen))\r\n")
+    assert client.cmd(b"t2 NOOP\r\n") == [b"* 3 EXISTS\r\n", b"t2 OK NOOP completed\r\n"]
 
 
 def test_uid_desync_between_fetches_fails_select_and_caches_nothing(scripted_session):

@@ -56,11 +56,23 @@ def test_map_down():
 
 
 def test_map_up():
+    """Each client range becomes one upstream range between its first and
+    last visible messages; hidden messages inside it are asked for too."""
     view = make_view(MIXED)
-    assert view.map_up(parse_sequence_set("1:4")).render() == "1:2,4,6"
-    assert view.map_up(parse_sequence_set("2:3")).render() == "2,4"
+    assert view.map_up(parse_sequence_set("1:4")).render() == "1:6"
+    assert view.map_up(parse_sequence_set("2:3")).render() == "2:4"
     assert view.map_up(parse_sequence_set("*")).render() == "6"
-    assert view.map_up(parse_sequence_set("3:*")).render() == "4,6"
+    assert view.map_up(parse_sequence_set("3:*")).render() == "4:6"
+    assert view.map_up(parse_sequence_set("1,3,9")).render() == "1,4"
+    assert view.map_up(parse_sequence_set("9:2")).render() == "2:6"
+
+
+def test_map_up_uids_resolves_star_to_largest_visible():
+    view = make_view(MIXED + "H")  # uid 70 hidden
+    assert view.map_up_uids(parse_sequence_set("65:*")).render() == "65:60"
+    assert view.map_up_uids(parse_sequence_set("1:100000")).render() == "1:100000"
+    assert view.map_up_uids(parse_sequence_set("*")).render() == "60"
+    assert make_view("HH").map_up_uids(parse_sequence_set("1:*")).ranges == ()
 
 
 def test_map_up_out_of_range_is_empty():
@@ -231,10 +243,15 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
             assert view.map_down_seq(upstream) == virtual_of.get(upstream, HIDDEN)
         for uid, _ in rows:
             assert view.uid_visible(uid) == (uid in visible_uids)
-        asked = data.draw(st.lists(st.integers(1, len(shadow) + 2), min_size=1, max_size=6))
-        mapped = view.map_up(parse_sequence_set(",".join(map(str, asked))))
-        assert mapped.expand(len(rows)) == sorted(
-            {shadow[v - 1][1] for v in asked if v <= len(shadow)}
-        )
+        number = st.one_of(st.integers(1, len(shadow) + 2).map(str), st.just("*"))
+        item = st.one_of(number, st.tuples(number, number).map(":".join))
+        asked = parse_sequence_set(",".join(data.draw(st.lists(item, min_size=1, max_size=6))))
+        mapped = view.map_up(asked)
+        # the visible members are exactly the asked ones, one range per range
+        assert [seq for seq in mapped.expand(len(rows)) if seq in virtual_of] == [
+            shadow[v - 1][1] for v in asked.expand(len(shadow))
+        ]
+        assert len(mapped.ranges) <= len(asked.ranges)
+        assert mapped.expand(len(rows) + 9) == mapped.expand(len(rows))
         probe = [uid for uid, _ in rows] + [1, next_uid]
         assert view.filter_uids(probe) == [uid for uid in probe if uid in visible_uids]
