@@ -23,14 +23,13 @@ from . import store
 from .credstore import CredStore, UpstreamSpec
 from .errors import ChamailError
 from .policy import (
+    BODY_EXCERPT_CAP,
     KeywordConstraint,
     KeywordMode,
     PolicySet,
     SenderConstraint,
     SenderMode,
     UNPARSEABLE,
-    evaluate,
-    extract_meta,
 )
 from .principal import Owner, SubUser
 
@@ -169,6 +168,8 @@ def _cmd_rule_set(args) -> int:
 
 
 def _cmd_dryrun(args) -> int:
+    from .proxy import decide
+
     path = _store_path(args)
     cred_store = CredStore(path)
     account = cred_store.get_account(args.email)
@@ -187,15 +188,23 @@ def _cmd_dryrun(args) -> int:
 
     rows = []
     visible = hidden = 0
-    for index, message in enumerate(box, start=1):
-        meta = extract_meta(bytes(message))
-        decision = evaluate(policy, meta, lists, principal)
-        sender = "<unparseable>" if meta.sender is UNPARSEABLE else meta.sender
-        rows.append({"index": index, "sender": sender, "decision": decision.name})
-        if decision.name == "VISIBLE":
-            visible += 1
-        else:
-            hidden += 1
+    try:
+        for index, key in enumerate(box.iterkeys(), start=1):
+            # Decide on what the proxy reads from an IMAP server: CRLF line
+            # ends, the header block and the first BODY_EXCERPT_CAP body bytes.
+            raw = box.get_bytes(key).replace(b"\r\n", b"\n").replace(b"\n", b"\r\n")
+            header, blank, body = raw.partition(b"\r\n\r\n")
+            decision, meta = decide(
+                policy, lists, principal, header + blank, body[:BODY_EXCERPT_CAP]
+            )
+            sender = "<unparseable>" if meta.sender is UNPARSEABLE else meta.sender
+            rows.append({"index": index, "sender": sender, "decision": decision.name})
+            if decision.name == "VISIBLE":
+                visible += 1
+            else:
+                hidden += 1
+    finally:
+        box.close()
 
     if args.json:
         print(

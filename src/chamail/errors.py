@@ -110,6 +110,11 @@ class LiteralTooLarge(ImapSyntaxError):
     any literal bytes are consumed."""
 
 
+class LineTooLong(ChamailError):
+    """A client command line exceeded the line cap. The rest of the line
+    is never read, so the session cannot resynchronise and must end."""
+
+
 # -- view mapping ----------------------------------------------------------
 
 class ViewError(ChamailError):

@@ -8,7 +8,8 @@ attributes are opaque bytes except the leading sequence number; the proxy
 never needs to understand ENVELOPE or BODY structure to renumber.
 
 Client-side literals are buffered, capped at 1 MiB; the cap is enforced on
-the size announcement, before any literal byte is read.
+the size announcement, before any literal byte is read. Client command
+lines are capped at 64 KiB, Dovecot's default line limit.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
 
-from .errors import ImapSyntaxError, LiteralTooLarge
+from .errors import ImapSyntaxError, LineTooLong, LiteralTooLarge
 
 CRLF = b"\r\n"
 LITERAL_CAP = 1024 * 1024
+LINE_CAP = 64 * 1024  # bytes per command line, CRLF included
 
 GREETING = b"* OK IMAP4rev1 service ready\r\n"
 
@@ -98,7 +100,19 @@ class StreamCommandIO:
         return self._rfile.read(size)
 
     def read_line(self) -> bytes:
-        return self._rfile.readline()
+        """One command line, CRLF included; b"" at end of stream. Raises
+        LineTooLong after reading LINE_CAP + 1 bytes without an end."""
+        line = self._rfile.readline(LINE_CAP + 1)
+        if len(line) > LINE_CAP:
+            raise LineTooLong(f"command line longer than {LINE_CAP} bytes")
+        return line
+
+
+def reply_tag(line: bytes) -> str:
+    """The tag to answer a rejected command *line* with: its own when it is
+    a valid tag, else "*"."""
+    tag = line.rstrip(CRLF).split(b" ", 1)[0]
+    return tag.decode("ascii") if _TAG_RE.match(tag) else "*"
 
 
 @dataclass
@@ -184,17 +198,14 @@ class _Scanner:
                 i += 1
         raise ImapSyntaxError("unterminated quoted string")
 
-    def _read_literal_marker(self) -> bytes:
-        m = re.match(rb"\{(\d+)(\+?)\}$", self.line[self.pos :])
-        if not m:
-            raise ImapSyntaxError("malformed literal, or bytes after literal size")
-        size = int(m.group(1))
+    def _take_literal(self, size: int, nonsync: bool) -> bytes:
+        """Read a literal of *size* bytes and the command line after it,
+        which becomes the current line."""
         if size > LITERAL_CAP:
             # raised before a single literal byte is consumed
             raise LiteralTooLarge(f"literal of {size} bytes exceeds cap")
         if self.io is None:
             raise ImapSyntaxError("literal not allowed here")
-        nonsync = m.group(2) == b"+"
         if not nonsync:
             self.io.send_continuation()
         data = self.io.read_literal(size)
@@ -217,7 +228,10 @@ class _Scanner:
         if c == b'"':
             return self.read_quoted()
         if c == b"{":
-            return self._read_literal_marker()
+            m = re.match(rb"\{(\d+)(\+?)\}$", self.remaining())
+            if not m:
+                raise ImapSyntaxError("malformed literal, or bytes after literal size")
+            return self._take_literal(int(m.group(1)), m.group(2) == b"+")
         return self.read_atom()
 
     def read_tail(self) -> bytes:
@@ -234,26 +248,7 @@ class _Scanner:
             m = _LITERAL_TAIL_RE.search(rest + CRLF)
             if not m:
                 return bytes(out)
-            size = int(m.group(1))
-            if size > LITERAL_CAP:
-                raise LiteralTooLarge(f"literal of {size} bytes exceeds cap")
-            if self.io is None:
-                raise ImapSyntaxError("literal not allowed here")
-            if m.group(2) != b"+":
-                self.io.send_continuation()
-            data = self.io.read_literal(size)
-            if len(data) != size:
-                raise ImapSyntaxError("connection closed inside literal")
-            next_line = self.io.read_line()
-            if not next_line.endswith(CRLF):
-                raise ImapSyntaxError("command line must end with CRLF")
-            kind = "literal+" if m.group(2) == b"+" else "literal"
-            self.wire_parts.append((kind, data))
-            self.wire_parts.append(("line", next_line))
-            self.literals.append(data)
-            out += CRLF + data
-            self.line = next_line[:-2]
-            self.pos = 0
+            out += CRLF + self._take_literal(int(m.group(1)), m.group(2) == b"+")
 
 
 def _decode_text(raw: bytes) -> str:

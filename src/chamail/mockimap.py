@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import imapcodec
-from .errors import ImapSyntaxError, LiteralTooLarge, ManifestError
+from .errors import ImapSyntaxError, LineTooLong, LiteralTooLarge, ManifestError
 from .imapcodec import CRLF, Verb, completion_text
 
 _FLAG_ORDER = ("\\Answered", "\\Flagged", "\\Deleted", "\\Seen", "\\Draft")
@@ -482,7 +482,7 @@ class MockIMAPServer:
             self._conn = conn
             try:
                 self._handle_connection(conn)
-            except (_Drop, OSError, ImapSyntaxError):
+            except (_Drop, OSError, ImapSyntaxError, LineTooLong):
                 pass
             finally:
                 try:

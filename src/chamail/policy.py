@@ -93,6 +93,10 @@ class PolicySet:
     def has_keyword_constraints(self) -> bool:
         return bool(self.keyword_constraints)
 
+    @property
+    def has_forbid_constraints(self) -> bool:
+        return any(c.mode is KeywordMode.FORBID_ANY for c in self.keyword_constraints)
+
     def referenced_lists(self) -> set[str]:
         return {c.list_ref for c in self.sender_constraints}
 
@@ -123,11 +127,16 @@ class PolicySet:
 
 @dataclass(frozen=True)
 class MessageMeta:
-    """The policy engine's sole input: extracted sender, subject, body excerpt."""
+    """The policy engine's sole input: extracted sender, subject, body excerpt.
+
+    *has_text_part* records whether the extracted bytes held a text/plain
+    part at all, so a caller can tell an empty excerpt from a missing one.
+    """
 
     sender: str | _Unparseable
     subject: str = ""
     body_excerpt: str = ""
+    has_text_part: bool = False
 
 
 Lists = Mapping[str, AbstractSet[str]]
@@ -224,7 +233,8 @@ def _first_from_addr(msg) -> str | _Unparseable:
     return UNPARSEABLE
 
 
-def _body_excerpt(msg) -> str:
+def _body_excerpt(msg) -> str | None:
+    """The decoded start of the first text/plain part; None if there is none."""
     for part in msg.walk():
         if part.get_content_type() != "text/plain":
             continue
@@ -241,7 +251,7 @@ def _body_excerpt(msg) -> str:
             return payload.decode(charset, "replace")
         except LookupError:
             return payload.decode("utf-8", "replace")
-    return ""
+    return None
 
 
 def extract_meta(raw_message: bytes) -> MessageMeta:
@@ -253,8 +263,10 @@ def extract_meta(raw_message: bytes) -> MessageMeta:
     """
     msg = message_from_bytes(raw_message)
     subject = msg.get("Subject")
+    excerpt = _body_excerpt(msg)
     return MessageMeta(
         sender=_first_from_addr(msg),
         subject=_unfold(subject) if subject is not None else "",
-        body_excerpt=_body_excerpt(msg),
+        body_excerpt=excerpt or "",
+        has_text_part=excerpt is not None,
     )

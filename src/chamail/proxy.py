@@ -18,6 +18,7 @@ Fail-closed rules, in one place:
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import logging
 import re
@@ -36,6 +37,7 @@ from .errors import (
     ConfigError,
     ImapSyntaxError,
     InconsistentInput,
+    LineTooLong,
     LiteralTooLarge,
     SessionAborted,
     StoreError,
@@ -66,6 +68,8 @@ from .imapcodec import (
 from .policy import (
     BODY_EXCERPT_CAP,
     Decision,
+    Lists,
+    MessageMeta,
     PolicySet,
     evaluate,
     extract_meta,
@@ -163,7 +167,7 @@ class UpstreamConnection:
         except OSError as exc:
             raise UpstreamUnavailable(f"cannot connect to {host}:{port}: {exc}") from exc
         sock.settimeout(None)
-        self._sock = sock
+        self.sock = sock
         self.rfile = sock.makefile("rb")
         self.wfile = sock.makefile("wb")
         self._tag_counter = 0
@@ -230,11 +234,9 @@ class UpstreamConnection:
         return tagged
 
     def close(self) -> None:
-        for closer in (self.rfile.close, self.wfile.close, self._sock.close):
-            try:
+        for closer in (self.rfile.close, self.wfile.close, self.sock.close):
+            with contextlib.suppress(OSError):
                 closer()
-            except OSError:
-                pass
 
 
 # -- per-session engine -----------------------------------------------------------
@@ -288,10 +290,8 @@ class ClientSession:
             self._loop()
         except (SessionAborted, UpstreamUnavailable) as exc:
             log.warning("session from %s aborted: %s", self.peer, exc)
-            try:
+            with contextlib.suppress(OSError):
                 self._send(b"* BYE session terminated\r\n")
-            except OSError:
-                pass
         except OSError:
             pass
         except Exception:
@@ -299,34 +299,38 @@ class ClientSession:
         finally:
             self._close()
 
+    def shutdown(self) -> None:
+        """From any thread: end both of the session's streams, which wakes
+        the session's own thread to close itself."""
+        upstream = self.upstream
+        for sock in [self.conn] if upstream is None else [self.conn, upstream.sock]:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+
     def _close(self) -> None:
         if self.upstream is not None:
             self.upstream.close()
             self.upstream = None
         for closer in (self.rfile.close, self.wfile.close, self.conn.close):
-            try:
+            with contextlib.suppress(OSError):
                 closer()
-            except OSError:
-                pass
         log.info("client %s disconnected", self.peer)
 
     def _loop(self) -> None:
-        while True:
-            line = self.rfile.readline()
-            if not line:
-                return
-            try:
-                cmd = imapcodec.parse_command(line, self.io)
-            except LiteralTooLarge:
-                tag = line.split(b" ", 1)[0].decode("ascii", "replace") or "*"
-                self._tagged(tag, "BAD", "literal too large")
-                return
-            except ImapSyntaxError as exc:
-                tag = line.split(b" ", 1)[0].decode("ascii", "replace") or "*"
-                self._tagged(tag, "BAD", str(exc))
-                continue
-            if not self._dispatch(cmd):
-                return
+        try:
+            while line := self.io.read_line():
+                try:
+                    cmd = imapcodec.parse_command(line, self.io)
+                except LiteralTooLarge:
+                    self._tagged(imapcodec.reply_tag(line), "BAD", "literal too large")
+                    return
+                except ImapSyntaxError as exc:
+                    self._tagged(imapcodec.reply_tag(line), "BAD", str(exc))
+                    continue
+                if not self._dispatch(cmd):
+                    return
+        except LineTooLong:
+            self._send(b"* BAD line too long\r\n")
 
     def _dispatch(self, cmd: Command) -> bool:
         """Handle one command; False ends the session."""
@@ -367,7 +371,7 @@ class ClientSession:
             blob = parts[1]
         else:
             self._send(b"+ \r\n")
-            line = self.rfile.readline()
+            line = self.io.read_line()
             if not line:
                 raise OSError("client closed during AUTHENTICATE")
             blob = line.strip()
@@ -512,19 +516,30 @@ class ClientSession:
     # Internal exchange that interprets stray events against the view.
 
     def _subuser_exchange(self, blob: bytes, tag: str, on_data=None) -> Tagged:
+        """Run one upstream command, handing each reply to *on_data* (or,
+        when it declines, to _absorb_stray). A failure while handling a
+        reply is raised only once the tagged line is read, so the upstream
+        stays in step; replies after it are dropped uninterpreted."""
         assert self.upstream is not None
+        failure: list[SessionAborted] = []
 
         def on_reply(reply: bytes) -> None:
+            if failure:
+                return
             try:
                 resp = parse_response(reply)
+                if isinstance(resp, Continuation):
+                    raise SessionAborted("unexpected upstream continuation")
+                if on_data is None or not on_data(resp):
+                    self._absorb_stray(resp)
             except ImapSyntaxError as exc:
-                raise SessionAborted(f"unparseable upstream response: {exc}") from exc
-            if isinstance(resp, Continuation):
-                raise SessionAborted("unexpected upstream continuation")
-            if on_data is None or not on_data(resp):
-                self._absorb_stray(resp)
+                failure.append(SessionAborted(f"unparseable upstream response: {exc}"))
+            except SessionAborted as exc:
+                failure.append(exc)
 
         tagged = parse_response(self.upstream.exchange(blob, tag, on_reply))
+        if failure:
+            raise failure[0]
         assert isinstance(tagged, Tagged)
         return tagged
 
@@ -620,11 +635,11 @@ class ClientSession:
 
         Returns (upstream_seq, uid, decision, flags) rows. Decisions the
         server holds under *key* are reused: a first FETCH learns the UIDs
-        and flags, and only the misses have their headers (and, under
-        keyword rules, body excerpts) fetched and evaluated. Any gap, parse
-        failure or UID mismatch fails the whole operation and caches
-        nothing — a sub-user never sees an unfiltered or half-filtered
-        mailbox.
+        and flags, and only the misses are fetched again, with every
+        metadata item the policy reads in one FETCH, and decided row by
+        row. Any gap, parse failure or UID mismatch fails the whole
+        operation and caches nothing — a sub-user never sees an unfiltered
+        or half-filtered mailbox.
         """
         cache = self.server.decisions
         seqs = list(range(first, last + 1))
@@ -634,87 +649,58 @@ class ClientSession:
         if key in cache:
             # With nothing cached under the key every UID would miss; the
             # misses' FETCH below then learns the UIDs itself.
-            for seq, attrs in self._fetch_rows(seqs, "UID FLAGS", "metadata").items():
+            def learn(seq: int, attrs: dict) -> None:
                 uids[seq], flags[seq] = _uid_and_flags(seq, attrs)
+
+            self._fetch_rows(seqs, "UID FLAGS", learn)
             cached = cache.lookup(key, [uids[seq] for seq in seqs])
             decided = {seq: hit for seq, hit in zip(seqs, cached) if hit is not None}
         misses = [seq for seq in seqs if seq not in decided]
         if misses:
-            rows = self._fetch_rows(
-                misses, f"UID FLAGS BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]", "metadata"
-            )
-            headers: dict[int, bytes] = {}
-            for seq, attrs in rows.items():
+            policy, lists = self.active_policy, self.active_lists
+            assert policy is not None and lists is not None
+            items = f"UID FLAGS BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]"
+            if policy.has_keyword_constraints:
+                items += f" BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>"
+
+            def judge(seq: int, attrs: dict) -> None:
                 uid, flags[seq] = _uid_and_flags(seq, attrs)
                 if uids.setdefault(seq, uid) != uid:
                     raise SessionAborted(f"metadata fetch desync: seq {seq} changed UID")
                 header = _section(attrs, "BODY[HEADER.FIELDS", seq)
-                if not isinstance(header, bytes):
-                    raise SessionAborted(f"malformed metadata for seq {seq}")
-                headers[seq] = header
-            decided.update(self._evaluate_headers(headers))
+                body = _section(attrs, "BODY[TEXT]", seq) if policy.has_keyword_constraints else b""
+                decided[seq] = decide(policy, lists, self.principal, header, body)[0]
+
+            self._fetch_rows(misses, items, judge)
             cache.store(key, {uids[seq]: decided[seq] for seq in misses})
         hits = len(seqs) - len(misses)
         log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
         return [(seq, uids[seq], decided[seq], flags[seq]) for seq in seqs]
 
-    def _evaluate_headers(self, headers: dict[int, bytes]) -> dict[int, Decision]:
-        """Policy-evaluate messages by their metadata headers."""
-        policy, lists = self.active_policy, self.active_lists
-        assert policy is not None and lists is not None
-        decided: dict[int, Decision] = {}
-        # Body excerpts only for messages whose sender constraints pass and
-        # only when keyword constraints exist at all.
-        needs_body: list[int] = []
-        for seq, header in headers.items():
-            meta = extract_meta(header)
-            if not sender_constraints_pass(policy, meta.sender, lists):
-                decided[seq] = Decision.HIDDEN
-            elif policy.has_keyword_constraints:
-                needs_body.append(seq)
-            else:
-                decided[seq] = evaluate(policy, meta, lists, self.principal)
-        if needs_body:
-            bodies = self._fetch_rows(
-                needs_body, f"BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>", "body excerpt"
-            )
-            for seq in needs_body:
-                body = _section(bodies[seq], "BODY[TEXT]", seq)
-                meta = extract_meta(headers[seq] + (body if isinstance(body, bytes) else b""))
-                decided[seq] = evaluate(policy, meta, lists, self.principal)
-        return decided
-
-    def _fetch_rows(self, seqs: list[int], items: str, what: str) -> dict[int, dict]:
+    def _fetch_rows(self, seqs: list[int], items: str, on_row) -> None:
         """FETCH *items* for upstream *seqs* by sequence number (RFC 3501
-        §7.4.1 allows no EXPUNGE meanwhile); the parsed attributes per seq.
-
-        A refused FETCH, a missing seq or unparseable attributes abort.
-        """
+        §7.4.1 allows no EXPUNGE meanwhile), handing each row's parsed
+        attributes to *on_row(seq, attrs)* as it arrives. A refused FETCH, a
+        missing seq, bad attributes or a failure in *on_row* abort."""
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         seq_set = SequenceSet.from_numbers(seqs).render()
         request = f"{tag} FETCH {seq_set} ({items})\r\n".encode("ascii")
-        raw: dict[int, bytes] = {}
+        pending = set(seqs)
 
-        def collect(resp) -> bool:
-            if isinstance(resp, FetchData):
-                raw[resp.seq] = resp.attrs
-                return True
-            return False
+        def row(resp) -> bool:
+            if not isinstance(resp, FetchData):
+                return False
+            if resp.seq in pending:
+                pending.discard(resp.seq)
+                on_row(resp.seq, dict(parse_fetch_attrs(resp.attrs)))
+            return True
 
-        tagged = self._subuser_exchange(request, tag, collect)
+        tagged = self._subuser_exchange(request, tag, row)
         if tagged.status != "OK":
-            raise SessionAborted(f"{what} fetch failed: {tagged.status} {tagged.text}")
-        rows: dict[int, dict] = {}
-        for seq in seqs:
-            attrs = raw.pop(seq, None)  # bodies are large: hold each once
-            if attrs is None:
-                raise SessionAborted(f"{what} fetch missing seq {seq}")
-            try:
-                rows[seq] = dict(parse_fetch_attrs(attrs))
-            except ImapSyntaxError as exc:
-                raise SessionAborted(f"malformed {what} for seq {seq}: {exc}") from exc
-        return rows
+            raise SessionAborted(f"metadata fetch failed: {tagged.status} {tagged.text}")
+        if pending:
+            raise SessionAborted(f"metadata fetch missing seq {min(pending)}")
 
     # -- sub-user commands ---------------------------------------------------------
 
@@ -734,27 +720,22 @@ class ClientSession:
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         examine = Command(tag=tag, verb=Verb.EXAMINE, name="EXAMINE", mailbox=mailbox)
-        collected: dict = {"exists": None, "uidvalidity": None, "untagged": []}
+        collected: dict = {"exists": None, "uidvalidity": None, "flags": [], "uid_codes": []}
 
         def collect(resp) -> bool:
             if isinstance(resp, Exists):
                 collected["exists"] = resp.count
-                return True
-            if isinstance(resp, Recent):
-                return True
-            if isinstance(resp, RawUntagged) and resp.payload.upper().startswith(b"FLAGS"):
-                collected["untagged"].append(("flags", resp.raw))
-                return True
-            if isinstance(resp, UntaggedStatus):
+            elif isinstance(resp, RawUntagged) and resp.payload.upper().startswith(b"FLAGS"):
+                collected["flags"].append(resp.raw)
+            elif isinstance(resp, UntaggedStatus):
                 if resp.code == "UIDVALIDITY":
                     collected["uidvalidity"] = resp.code_args.strip()
-                    collected["untagged"].append(("uidvalidity", resp.raw))
-                    return True
-                if resp.code == "UIDNEXT":
-                    collected["untagged"].append(("uidnext", resp.raw))
-                    return True
-                return True  # PERMANENTFLAGS, UNSEEN hints, alerts: dropped
-            return False
+                if resp.code in ("UIDVALIDITY", "UIDNEXT"):
+                    collected["uid_codes"].append(resp.raw)
+                # PERMANENTFLAGS, UNSEEN hints, alerts: dropped
+            elif not isinstance(resp, Recent):
+                return False
+            return True
 
         tagged = self._subuser_exchange(render_command(examine), tag, collect)
         if tagged.status != "OK":
@@ -764,12 +745,8 @@ class ClientSession:
         if exists is None or uidvalidity_text is None or not uidvalidity_text.isdigit():
             raise SessionAborted("upstream EXAMINE response missing EXISTS/UIDVALIDITY")
         uidvalidity = collected["uidvalidity"] = int(uidvalidity_text)
-        decisions = (
-            self._fetch_decisions(1, exists, self._decision_key(mailbox, uidvalidity))
-            if exists
-            else []
-        )
-        return tagged, collected, decisions
+        key = self._decision_key(mailbox, uidvalidity)
+        return tagged, collected, self._fetch_decisions(1, exists, key) if exists else []
 
     def _subuser_select(self, cmd: Command) -> None:
         assert self.upstream is not None and cmd.mailbox is not None
@@ -793,22 +770,18 @@ class ClientSession:
             self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "SELECT failed")
             return
 
-        view = ViewMap(
-            [(seq, uid, decision) for seq, uid, decision, _ in decisions],
-            collected["uidvalidity"],
-        )
+        rows = [(seq, uid, decision) for seq, uid, decision, _ in decisions]
+        view = ViewMap(rows, collected["uidvalidity"])
         self.view = view
         self.selected_mailbox = cmd.mailbox
         self.state = _SELECTED
 
-        for kind, raw in collected["untagged"]:
-            if kind == "flags":
-                self._send(raw)
+        for raw in collected["flags"]:
+            self._send(raw)
         self._send(b"* %d EXISTS\r\n" % view.exists())
         self._send(b"* 0 RECENT\r\n")
-        for kind, raw in collected["untagged"]:
-            if kind in ("uidvalidity", "uidnext"):
-                self._send(raw)
+        for raw in collected["uid_codes"]:
+            self._send(raw)
         self._tagged(cmd.tag, "OK", f"[READ-ONLY] {completion_text(cmd.name)}")
 
     def _subuser_close(self, cmd: Command) -> None:
@@ -1076,6 +1049,28 @@ class ClientSession:
         self._send(tagged.raw)
 
 
+def decide(
+    policy: PolicySet, lists: Lists, principal: Principal, header: bytes, body: bytes
+) -> tuple[Decision, MessageMeta]:
+    """Decide one message from its header block and the first
+    BODY_EXCERPT_CAP bytes of its body, CRLF-ended as an IMAP server serves
+    them; the proxy and `chamail dryrun` both decide here. The body is read
+    only past the sender rules, and a FORBID rule cannot clear a body cut
+    off before any text/plain part. Returns the decision and its metadata.
+    The policy functions are called as this module's globals, where
+    perfbench/tracing.py times them.
+    """
+    meta = extract_meta(header)
+    if not sender_constraints_pass(policy, meta.sender, lists):
+        return Decision.HIDDEN, meta
+    if policy.has_keyword_constraints:
+        meta = extract_meta(header + body)
+        cut = len(body) >= BODY_EXCERPT_CAP and not meta.has_text_part
+        if cut and policy.has_forbid_constraints:
+            return Decision.HIDDEN, meta
+    return evaluate(policy, meta, lists, principal), meta
+
+
 def _uid_and_flags(seq: int, attrs: dict) -> tuple[int, frozenset]:
     uid = attrs.get("UID")
     flags_raw = attrs.get("FLAGS", b"()")
@@ -1084,11 +1079,12 @@ def _uid_and_flags(seq: int, attrs: dict) -> tuple[int, frozenset]:
     return uid, frozenset(f.decode("ascii", "replace") for f in flags_raw.strip(b"()").split())
 
 
-def _section(attrs: dict, prefix: str, seq: int):
-    """The value of the first attribute named *prefix*..., e.g. BODY[TEXT]<0>."""
+def _section(attrs: dict, prefix: str, seq: int) -> bytes:
+    """The bytes of the first attribute named *prefix*..., e.g. BODY[TEXT]<0>;
+    b"" for NIL."""
     for name, value in attrs.items():
-        if name.startswith(prefix):
-            return value
+        if name.startswith(prefix) and (value is None or isinstance(value, bytes)):
+            return value or b""
     raise SessionAborted(f"malformed metadata for seq {seq}: no {prefix}")
 
 
@@ -1108,7 +1104,7 @@ class ProxyServer:
             context.load_cert_chain(config.tls_certfile, config.tls_keyfile)
             self._ssl_context = context
         self._thread: threading.Thread | None = None
-        self._sessions: list[threading.Thread] = []
+        self._sessions: list[tuple[ClientSession, threading.Thread]] = []
         self.decisions = DecisionCache()
 
     def start(self) -> "ProxyServer":
@@ -1133,18 +1129,19 @@ class ProxyServer:
             session = ClientSession(self, conn, f"{addr[0]}:{addr[1]}")
             thread = threading.Thread(target=session.run, daemon=True)
             thread.start()
-            self._sessions.append(thread)
-            self._sessions = [t for t in self._sessions if t.is_alive()]
+            self._sessions = [(s, t) for s, t in self._sessions if t.is_alive()]
+            self._sessions.append((session, thread))
 
     def stop(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
-        except OSError:
-            pass
         if self._thread is not None:
             self._thread.join(timeout=5)
         self._sock.close()
-        for thread in self._sessions:
+        # With the accept loop gone the list is final; a session blocked on
+        # either socket wakes to end of stream and closes itself.
+        for session, thread in self._sessions:
+            session.shutdown()
             thread.join(timeout=2)
 
     def __enter__(self) -> "ProxyServer":

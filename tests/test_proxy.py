@@ -3,8 +3,11 @@
 import base64
 import json
 import logging
+import mailbox
+import select
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,11 +21,13 @@ from conftest import (
     make_household_store,
 )
 from chamail import decisions
+from chamail.admincli import main
 from chamail.credstore import CredStore, UpstreamSpec
 from chamail.errors import ConfigError
 from chamail.imapcodec import parse_sequence_set
 from chamail.mockimap import FixtureMailbox, MockIMAPServer, StoredMessage
 from chamail.policy import (
+    BODY_EXCERPT_CAP,
     KeywordConstraint,
     KeywordMode,
     PolicySet,
@@ -148,6 +153,10 @@ def test_syntax_error_keeps_session(connect):
     out = client.cmd(b"t1 LOGIN onlyone\r\n")
     assert out[-1].startswith(b"t1 BAD")
     assert client.cmd(b"t2 NOOP\r\n")[-1] == b"t2 OK NOOP completed\r\n"
+    # a malformed tag is not echoed back
+    client.send(b"x" * 1000 + b" NOOP\r\n")
+    assert client._read() == b"* BAD bad tag b'" + b"x" * 32 + b"'\r\n"
+    assert client.cmd(b"t3 NOOP\r\n")[-1] == b"t3 OK NOOP completed\r\n"
 
 
 def test_oversized_literal_closes_session(connect):
@@ -155,6 +164,40 @@ def test_oversized_literal_closes_session(connect):
     out = client.cmd(b"t1 LOGIN person@gmail.com {2000000}\r\n")
     assert out[-1] == b"t1 BAD literal too large\r\n"
     assert client._read() == b""
+
+
+def test_overlong_line_closes_session(connect):
+    client = connect()
+    try:
+        client.send(b"x" * (100 * 1024) + b"\r\n")
+    except OSError:  # the proxy may close before the whole line is sent
+        pass
+    reply = b""
+    try:
+        while chunk := client.sock.recv(4096):
+            reply += chunk
+    except ConnectionResetError:  # the unread rest of the line resets the connection
+        pass
+    assert reply == b"* BAD line too long\r\n"
+    assert len(reply) < 100
+
+
+def test_stop_ends_a_live_session(store6, mock6, master_key):
+    config = ProxyConfig(
+        store_path=store6.path,
+        listen_port=0,
+        upstream_overrides={ACCOUNT: UpstreamOverride("127.0.0.1", mock6.port)},
+    )
+    proxy = ProxyServer(config, store6, master_key).start()
+    client = ImapClient(proxy.port)
+    try:
+        assert client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")[-1].startswith(b"t1 OK")
+        started = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - started < 0.5
+        assert client._read() == b""
+    finally:
+        client.close()
 
 
 def _dead_port() -> int:
@@ -938,3 +981,160 @@ def test_select_logs_cache_counts_only(spouse_session, caplog):
     ]
     text = " ".join(lines).lower()
     assert not any(word in text for word in ("ex@gmail", "tulip", "orchid", "mom@", "dinner"))
+
+
+# -- one metadata FETCH, decided row by row ---------------------------------------------
+
+
+FORBID_SECRET = (KeywordConstraint(KeywordMode.FORBID_ANY, frozenset({"secret"})),)
+
+
+def test_cold_select_sends_one_short_metadata_fetch(tmp_path, master_key):
+    messages, visible = [], []
+    for i in range(1000):
+        sender = b"ex@gmail.com" if i % 3 == 0 else b"friend%d@uni.example" % i
+        body = b"the secret plan" if i % 7 == 0 else b"lunch at noon"
+        uid = 10 + 2 * i
+        raw = b"From: %s\r\nSubject: note %d\r\n\r\n%s\r\n" % (sender, i, body)
+        messages.append(StoredMessage(uid, (), raw))
+        if i % 3 and i % 7:
+            visible.append(uid)
+    inbox = FixtureMailbox("INBOX", messages, uidvalidity=5, uidnext=10 + 2 * 1000)
+    with MockIMAPServer([inbox], {ACCOUNT: UPSTREAM_PASSWORD}) as mock:
+        cs = make_household_store(tmp_path / "store.json", mock.port, master_key)
+        cs.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, FORBID_SECRET))
+        config = ProxyConfig(store_path=cs.path, listen_port=0)
+        with ProxyServer(config, cs, master_key) as proxy:
+            client = ImapClient(proxy.port)
+            try:
+                client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")
+                mock.clear_log()
+                assert b"* %d EXISTS\r\n" % len(visible) in client.cmd(b"t2 SELECT INBOX\r\n")
+                fetches = _metadata_fetches(mock)
+                assert len(fetches) == 1
+                assert b"HEADER.FIELDS" in fetches[0] and b"BODY.PEEK[TEXT]" in fetches[0]
+                assert max(len(cmd.raw) for cmd in mock.received) <= 200
+                out = client.cmd(b"t3 UID SEARCH ALL\r\n")
+                assert out[0] == b"* SEARCH " + b" ".join(b"%d" % uid for uid in visible) + b"\r\n"
+            finally:
+                client.close()
+
+
+def test_newcomer_under_keyword_rules_costs_one_fetch(spouse_session, store6, mock6):
+    store6.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, FORBID_SECRET))
+    assert b"* 4 EXISTS\r\n" in spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.inject_new_message(
+        "INBOX", b"From: colleague@work.example\r\nSubject: standup\r\n\r\nmoved\r\n"
+    )
+    mock6.clear_log()
+    out = spouse_session.cmd(b"t3 NOOP\r\n")
+    assert out == [b"* 5 EXISTS\r\n", b"t3 OK NOOP completed\r\n"]
+    # the UID pass finds the one miss; one FETCH then reads all it needs
+    [fetch] = _metadata_fetches(mock6)
+    assert b"HEADER.FIELDS" in fetch and b"BODY.PEEK[TEXT]" in fetch
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [b"*\r\n", b"* 2 FETCH (UID 20 FLAGS (\r\n"],
+    ids=["unparseable-response", "unparseable-attributes"],
+)
+def test_bad_metadata_row_fails_select_after_the_tagged_line(scripted_session, bad_row):
+    release = threading.Event()
+    mailbox_script = _scripted_mailbox({"exists": 3, "lie": False})
+
+    def script(line, send):
+        if b"HEADER.FIELDS" not in line or release.is_set():
+            return mailbox_script(line, send)
+
+        def send_broken(data):
+            if data.startswith(b"* 2 FETCH"):
+                data = bad_row
+            elif not data.startswith(b"* "):
+                release.wait(10)  # hold the tagged line back
+            send(data)
+
+        mailbox_script(line, send_broken)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    client.send(b"t1 SELECT INBOX\r\n")
+    # the bad row has arrived, the tagged line has not: no answer yet
+    assert select.select([client.sock], [], [], 0.5)[0] == []
+    release.set()
+    assert client._read() == b"t1 NO cannot open mailbox with filtering guaranteed\r\n"
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+
+
+def _html_part(size: int) -> bytes:
+    line = b"<p>nothing to see</p>\n"
+    return b"Content-Type: text/html\n\n" + line * (size // len(line))
+
+
+def _alternative(*parts: bytes) -> bytes:
+    """An LF-ended multipart/alternative message of *parts* (each its own
+    header block and body) from a sender the household does not block."""
+    head = (
+        b"From: friend@uni.example\nSubject: plans\nMIME-Version: 1.0\n"
+        b'Content-Type: multipart/alternative; boundary="b0"\n\n'
+    )
+    return head + b"".join(b"--b0\n" + part + b"\n" for part in parts) + b"--b0--\n"
+
+
+def _proxy_and_dryrun(tmp_path, master_key, capsys, messages: list[bytes]):
+    """The spouse's decisions on LF-ended *messages* under blacklist +
+    forbid:secret, as (proxy, dryrun) lists of "VISIBLE"/"HIDDEN". The
+    upstream serves each message with CRLF line ends, as IMAP servers do."""
+    box_path = tmp_path / "sample.mbox"
+    box = mailbox.mbox(str(box_path))
+    for raw in messages:
+        box.add(mailbox.mboxMessage(raw))
+    box.close()
+    stored = [
+        StoredMessage(10 * (i + 1), (), raw.replace(b"\n", b"\r\n"))
+        for i, raw in enumerate(messages)
+    ]
+    inbox = FixtureMailbox("INBOX", stored, uidvalidity=5, uidnext=10 * (len(messages) + 1))
+    with MockIMAPServer([inbox], {ACCOUNT: UPSTREAM_PASSWORD}) as mock:
+        cs = make_household_store(tmp_path / "store.json", mock.port, master_key)
+        cs.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, FORBID_SECRET))
+        config = ProxyConfig(store_path=cs.path, listen_port=0)
+        with ProxyServer(config, cs, master_key) as proxy:
+            client = ImapClient(proxy.port)
+            try:
+                client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")
+                client.cmd(b"t2 SELECT INBOX\r\n")
+                shown = set(client.cmd(b"t3 UID SEARCH ALL\r\n")[0].split()[2:])
+            finally:
+                client.close()
+    proxy_view = ["VISIBLE" if b"%d" % m.uid in shown else "HIDDEN" for m in stored]
+    capsys.readouterr()
+    argv = ["dryrun", ACCOUNT, str(box_path), "--subuser", "spouse", "--store", cs.path, "--json"]
+    assert main(argv) == 0
+    dryrun_view = [row["decision"] for row in json.loads(capsys.readouterr().out)["messages"]]
+    return proxy_view, dryrun_view
+
+
+def test_text_cut_off_by_the_excerpt_cap_fails_closed(tmp_path, master_key, capsys):
+    late_plain = _alternative(
+        _html_part(75_000), b"Content-Type: text/plain\n\nthe secret plan\n"
+    )
+    small_html = _alternative(_html_part(2_000))
+    proxy_view, dryrun_view = _proxy_and_dryrun(
+        tmp_path, master_key, capsys, [late_plain, small_html]
+    )
+    assert proxy_view == dryrun_view == ["HIDDEN", "VISIBLE"]
+
+
+def test_dryrun_reads_the_bytes_the_proxy_reads(tmp_path, master_key, capsys):
+    filler = b"a line of plain filler text..\n" * 60
+    message = _alternative(
+        _html_part(61_000), b"Content-Type: text/plain\n\n" + filler + b"the secret plan\n"
+    )
+    # The text/plain part starts inside the excerpt either way, but the
+    # keyword lies inside it only while line ends are one byte long.
+    body_lf = message.split(b"\n\n", 1)[1]
+    body_crlf = body_lf.replace(b"\n", b"\r\n")
+    assert body_crlf.index(b"text/plain") < BODY_EXCERPT_CAP < body_crlf.index(b"secret")
+    assert body_lf.index(b"secret") < BODY_EXCERPT_CAP
+    proxy_view, dryrun_view = _proxy_and_dryrun(tmp_path, master_key, capsys, [message])
+    assert proxy_view == dryrun_view == ["VISIBLE"]
