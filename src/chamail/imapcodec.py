@@ -24,6 +24,7 @@ from .errors import ImapSyntaxError, LineTooLong, LiteralTooLarge
 CRLF = b"\r\n"
 LITERAL_CAP = 1024 * 1024
 LINE_CAP = 64 * 1024  # bytes per command line, CRLF included
+HANDSHAKE_TIMEOUT = 10.0  # seconds a client has to complete its TLS handshake
 
 GREETING = b"* OK IMAP4rev1 service ready\r\n"
 
@@ -800,7 +801,20 @@ def read_response_blob(stream) -> bytes:
 
 # -- FETCH attribute scanning ------------------------------------------------------
 
-_FETCH_KEY_RE = re.compile(rb"[A-Za-z0-9.]+(?:\[[^\]]*\])?(?:<[0-9.]+>)?")
+# One attribute: its name, then an atom or a parenthesized group with
+# nothing inside to skip, if its value is one; _fetch_value reads the rest.
+_FETCH_ITEM_RE = re.compile(
+    rb"([A-Za-z0-9.]+(?:\[[^\]]*\])?(?:<[0-9.]+>)?)[ \r\n]*"
+    rb'(?:([^ ()"{][^ ()]*)|(\([^()"{]*\)))?'
+)
+_FETCH_SPACE_RE = re.compile(rb"[ \r\n]*")
+_FETCH_ATOM_RE = re.compile(rb"[^ ()]+")
+_FETCH_LITERAL_RE = re.compile(rb"\{(\d+)\}\r\n")
+# A quoted string's body and closing quote; a backslash escapes any byte.
+_FETCH_QUOTED_RE = re.compile(rb'((?:[^"\\]|\\.)*)"', re.S)
+_FETCH_ESCAPE_RE = re.compile(rb"\\(.)", re.S)
+# What a parenthesized group's scan stops at.
+_FETCH_GROUP_MARK_RE = re.compile(rb'[()"{]')
 
 
 def parse_fetch_attrs(attrs: bytes) -> list[tuple[str, bytes | int | None]]:
@@ -810,90 +824,74 @@ def parse_fetch_attrs(attrs: bytes) -> list[tuple[str, bytes | int | None]]:
     literals, and parenthesized groups (parens included). Used by the
     proxy for its own metadata fetches; relayed client fetches stay raw.
     """
-    data = attrs
-    if not data.startswith(b"(") or not data.endswith(b")"):
+    if not attrs.startswith(b"(") or not attrs.endswith(b")"):
         raise ImapSyntaxError("FETCH attributes must be parenthesized")
-    data = data[1:-1]
-    pos = 0
+    data = attrs[1:-1]
     out: list[tuple[str, bytes | int | None]] = []
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(data) and data[pos : pos + 1] in (b" ", b"\r", b"\n"):
-            pos += 1
-
-    def read_value() -> bytes | int | None:
-        nonlocal pos
-        c = data[pos : pos + 1]
-        if c == b"(":
-            depth = 0
-            start = pos
-            while pos < len(data):
-                ch = data[pos : pos + 1]
-                if ch == b'"':
-                    pos += 1
-                    while pos < len(data) and data[pos : pos + 1] != b'"':
-                        pos += 2 if data[pos : pos + 1] == b"\\" else 1
-                    pos += 1
-                    continue
-                if ch == b"{":
-                    lm = re.match(rb"\{(\d+)\}\r\n", data[pos:])
-                    if lm:
-                        pos += lm.end() + int(lm.group(1))
-                        continue
-                if ch == b"(":
-                    depth += 1
-                elif ch == b")":
-                    depth -= 1
-                    if depth == 0:
-                        pos += 1
-                        return data[start:pos]
-                pos += 1
-            raise ImapSyntaxError("unbalanced parens in FETCH attributes")
-        if c == b'"':
-            out_b = bytearray()
-            pos += 1
-            while pos < len(data):
-                ch = data[pos : pos + 1]
-                if ch == b"\\":
-                    out_b += data[pos + 1 : pos + 2]
-                    pos += 2
-                elif ch == b'"':
-                    pos += 1
-                    return bytes(out_b)
-                else:
-                    out_b += ch
-                    pos += 1
-            raise ImapSyntaxError("unterminated quoted string in FETCH attributes")
-        if c == b"{":
-            lm = re.match(rb"\{(\d+)\}\r\n", data[pos:])
-            if not lm:
-                raise ImapSyntaxError("malformed literal in FETCH attributes")
-            size = int(lm.group(1))
-            start = pos + lm.end()
-            if start + size > len(data):
-                raise ImapSyntaxError("truncated literal in FETCH attributes")
-            pos = start + size
-            return data[start : start + size]
-        m = re.match(rb"[^ ()]+", data[pos:])
-        if not m:
-            raise ImapSyntaxError("expected FETCH attribute value")
-        token = m.group(0)
-        pos += m.end()
-        if token == b"NIL":
-            return None
-        if token.isdigit():
-            return int(token)
-        return token
-
-    while True:
-        skip_ws()
-        if pos >= len(data):
-            return out
-        km = _FETCH_KEY_RE.match(data, pos)
-        if not km:
+    pos = 0
+    while (pos := _FETCH_SPACE_RE.match(data, pos).end()) < len(data):
+        item = _FETCH_ITEM_RE.match(data, pos)
+        if not item:
             raise ImapSyntaxError(f"bad FETCH attribute name at {data[pos : pos + 20]!r}")
-        key = km.group(0).decode("ascii").upper()
-        pos = km.end()
-        skip_ws()
-        out.append((key, read_value()))
+        key = item.group(1).decode("ascii").upper()
+        atom, group = item.group(2, 3)
+        if atom is not None:
+            value = _atom_value(atom)
+            pos = item.end()
+        elif group is not None:
+            value = group
+            pos = item.end()
+        else:
+            value, pos = _fetch_value(data, item.end())
+        out.append((key, value))
+    return out
+
+
+def _atom_value(token: bytes) -> bytes | int | None:
+    if token == b"NIL":
+        return None
+    if token.isdigit():
+        return int(token)
+    return token
+
+
+def _fetch_value(data: bytes, pos: int) -> tuple[bytes | int | None, int]:
+    """The FETCH attribute value at *pos*, and the position after it."""
+    c = data[pos : pos + 1]
+    if c == b"(":
+        depth = 0
+        at = pos
+        while (mark := _FETCH_GROUP_MARK_RE.search(data, at)) is not None:
+            at = mark.start()
+            ch = data[at : at + 1]
+            if ch == b'"':
+                quoted = _FETCH_QUOTED_RE.match(data, at + 1)
+                if quoted is None:
+                    break
+                at = quoted.end()
+            elif ch == b"{" and (lm := _FETCH_LITERAL_RE.match(data, at)):
+                at = lm.end() + int(lm.group(1))
+            else:
+                at += 1
+                depth += (ch == b"(") - (ch == b")")
+                if depth == 0:
+                    return data[pos:at], at
+        raise ImapSyntaxError("unbalanced parens in FETCH attributes")
+    if c == b'"':
+        quoted = _FETCH_QUOTED_RE.match(data, pos + 1)
+        if quoted is None:
+            raise ImapSyntaxError("unterminated quoted string in FETCH attributes")
+        return _FETCH_ESCAPE_RE.sub(rb"\1", quoted.group(1)), quoted.end()
+    if c == b"{":
+        lm = _FETCH_LITERAL_RE.match(data, pos)
+        if not lm:
+            raise ImapSyntaxError("malformed literal in FETCH attributes")
+        size = int(lm.group(1))
+        start = lm.end()
+        if start + size > len(data):
+            raise ImapSyntaxError("truncated literal in FETCH attributes")
+        return data[start : start + size], start + size
+    m = _FETCH_ATOM_RE.match(data, pos)
+    if not m:
+        raise ImapSyntaxError("expected FETCH attribute value")
+    return _atom_value(m.group(0)), m.end()

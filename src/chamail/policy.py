@@ -213,24 +213,79 @@ def evaluate(
 
 # -- metadata extraction --------------------------------------------------------
 
-_CRLF_RE = re.compile(r"[\r\n]+")
+# The header block as the stdlib email parser reads it: the lines that start
+# a field (a name of RFC 5322 ftext, so no space, then a colon), continue one
+# (a space or tab) or are an mbox "From " line, then the blank line that ends
+# the block, if there is one.
+_HEADER_BLOCK_RE = re.compile(
+    rb"((?:(?:[!-9;-~]*:|[ \t]|From )[^\r\n]*(?:\r\n|\r|\n|\Z))*)(?:\r\n|\r|\n)?"
+)
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
+# What str.strip() removes from the email parser's ASCII view of a header,
+# in which no 8-bit byte is a space.
+_ASCII_SPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
-def _unfold(value: str) -> str:
-    return _CRLF_RE.sub("", value)
+def _scan_header(raw: bytes) -> tuple[list[str], str, str | None, bool]:
+    """Read the header block of *raw* as the email parser does, but as
+    UTF-8 with replacement (RFC 6532). Returns every From value and the
+    first Subject and Content-Type, each unfolded, and whether any bytes
+    follow the block."""
+    match = _HEADER_BLOCK_RE.match(raw)
+    lines = _LINE_END_RE.split(match[1].decode("utf-8", "replace"))
+    if not lines[-1]:
+        lines.pop()  # the block ended with a line end
+    # The parser takes a "From " line after the first as the first body
+    # line when nothing follows it.
+    body_follows = match.end() < len(raw) or (
+        len(lines) > 1 and lines[-1].startswith("From ")
+    )
+    froms: list[list[str]] = []
+    subject: list[str] | None = None
+    content_type: list[str] | None = None
+    value: list[str] | None = None  # the pieces of the field being read
+    for line in lines:
+        if line[0] in " \t":
+            if value is not None:
+                value.append(line)
+            continue
+        name, _, first = line.partition(":")
+        if line.startswith("From ") or not name:
+            value = None  # an mbox line or a nameless field: skipped, with its continuations
+            continue
+        value = [first.lstrip(" \t")]
+        name = name.lower()
+        if name == "from":
+            froms.append(value)
+        elif name == "subject" and subject is None:
+            subject = value
+        elif name == "content-type" and content_type is None:
+            content_type = value
+    return (
+        ["".join(v) for v in froms],
+        "".join(subject) if subject is not None else "",
+        "".join(content_type) if content_type is not None else None,
+        body_follows,
+    )
 
 
-def _first_from_addr(msg) -> str | _Unparseable:
-    raw = msg.get_all("From")
-    if not raw:
-        return UNPARSEABLE
-    pairs = getaddresses([_unfold(v) for v in raw])
-    for _display, address in pairs:
+def _first_from_addr(values: list[str]) -> str | _Unparseable:
+    for _display, address in getaddresses(values):
         if addr.is_addr_spec(address):
             return address.lower()
         if address:
             break  # first address present but garbled: unparseable, not "skip"
     return UNPARSEABLE
+
+
+def _names_text_part(content_type: str | None) -> bool:
+    """Whether the email parser finds a text/plain part in a message with
+    this Content-Type and no body: its own (the default, also for an
+    invalid type, RFC 2045 §5.2) or the empty message inside a message/*."""
+    if content_type is None:
+        return True
+    ctype = content_type.partition(";")[0].strip(_ASCII_SPACE).lower()
+    return ctype.count("/") != 1 or ctype == "text/plain" or ctype.startswith("message/")
 
 
 def _body_excerpt(msg) -> str | None:
@@ -249,7 +304,7 @@ def _body_excerpt(msg) -> str | None:
         charset = part.get_content_charset() or "utf-8"
         try:
             return payload.decode(charset, "replace")
-        except LookupError:
+        except (LookupError, UnicodeError):  # unknown, or refuses "replace" (idna)
             return payload.decode("utf-8", "replace")
     return None
 
@@ -258,15 +313,21 @@ def extract_meta(raw_message: bytes) -> MessageMeta:
     """Extract (sender, subject, body excerpt) from an RFC 5322-shaped blob.
 
     Total: header violations degrade to empty fields or an UNPARSEABLE
-    sender rather than raising. Transfer decoding covers base64 and
-    quoted-printable; RFC 2047 encoded words in headers are left as-is.
+    sender rather than raising. Header bytes are read as UTF-8 with
+    replacement (RFC 6532), so a UTF-8 subject is matched as text and an
+    8-bit addr-spec is UNPARSEABLE; RFC 2047 encoded words are left as-is.
+    The header block is read by a scanner; the email parser runs only when
+    a body follows it, for the excerpt, whose transfer decoding covers
+    base64 and quoted-printable.
     """
-    msg = message_from_bytes(raw_message)
-    subject = msg.get("Subject")
-    excerpt = _body_excerpt(msg)
+    froms, subject, content_type, body_follows = _scan_header(raw_message)
+    if body_follows:
+        excerpt = _body_excerpt(message_from_bytes(raw_message))
+    else:
+        excerpt = "" if _names_text_part(content_type) else None
     return MessageMeta(
-        sender=_first_from_addr(msg),
-        subject=_unfold(subject) if subject is not None else "",
+        sender=_first_from_addr(froms),
+        subject=subject,
         body_excerpt=excerpt or "",
         has_text_part=excerpt is not None,
     )

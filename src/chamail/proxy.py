@@ -25,6 +25,7 @@ import re
 import socket
 import ssl
 import threading
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -286,6 +287,14 @@ class ClientSession:
     def run(self) -> None:
         log.info("client connected from %s", self.peer)
         try:
+            if isinstance(self.conn, ssl.SSLSocket):
+                self.conn.settimeout(imapcodec.HANDSHAKE_TIMEOUT)
+                try:
+                    self.conn.do_handshake()
+                except OSError as exc:
+                    log.warning("TLS handshake failed from %s: %s", self.peer, exc)
+                    return
+                self.conn.settimeout(None)
             self._send(imapcodec.GREETING)
             self._loop()
         except (SessionAborted, UpstreamUnavailable) as exc:
@@ -517,9 +526,10 @@ class ClientSession:
 
     def _subuser_exchange(self, blob: bytes, tag: str, on_data=None) -> Tagged:
         """Run one upstream command, handing each reply to *on_data* (or,
-        when it declines, to _absorb_stray). A failure while handling a
-        reply is raised only once the tagged line is read, so the upstream
-        stays in step; replies after it are dropped uninterpreted."""
+        when it declines, to _absorb_stray). Any failure while handling a
+        reply is raised as SessionAborted only once the tagged line is read,
+        so the upstream stays in step; replies after it are dropped
+        uninterpreted."""
         assert self.upstream is not None
         failure: list[SessionAborted] = []
 
@@ -532,10 +542,15 @@ class ClientSession:
                     raise SessionAborted("unexpected upstream continuation")
                 if on_data is None or not on_data(resp):
                     self._absorb_stray(resp)
-            except ImapSyntaxError as exc:
-                failure.append(SessionAborted(f"unparseable upstream response: {exc}"))
             except SessionAborted as exc:
                 failure.append(exc)
+            except ImapSyntaxError as exc:
+                failure.append(SessionAborted(f"unparseable upstream response: {exc}"))
+            except Exception as exc:  # a handler bug fails the command closed, in step
+                # The frames only: the exception's text may quote the message.
+                trace = "".join(traceback.format_tb(exc.__traceback__))
+                log.warning("handling an upstream reply failed:\n%s", trace)
+                failure.append(SessionAborted(f"reply handler failed: {type(exc).__name__}"))
 
         tagged = parse_response(self.upstream.exchange(blob, tag, on_reply))
         if failure:
@@ -1120,10 +1135,14 @@ class ProxyServer:
             except OSError:  # stop() shut the listening socket down
                 return
             if self._ssl_context is not None:
+                # The session's own thread runs the handshake, under a time
+                # limit, so a silent client holds up only itself.
                 try:
-                    conn = self._ssl_context.wrap_socket(conn, server_side=True)
-                except ssl.SSLError as exc:
-                    log.warning("TLS handshake failed from %s: %s", addr, exc)
+                    conn = self._ssl_context.wrap_socket(
+                        conn, server_side=True, do_handshake_on_connect=False
+                    )
+                except OSError as exc:
+                    log.warning("TLS setup failed for %s: %s", addr, exc)
                     conn.close()
                     continue
             session = ClientSession(self, conn, f"{addr[0]}:{addr[1]}")

@@ -1,6 +1,21 @@
-"""The test oracle for policy evaluation (acceptance criterion 3)."""
+"""Test oracles for the policy engine: evaluation (acceptance criterion 3)
+and metadata extraction through the stdlib email parser."""
 
-from chamail.policy import Decision, KeywordMode, Lists, MessageMeta, PolicySet, SenderMode
+import re
+from email import message_from_bytes
+from email.utils import getaddresses
+
+from chamail import addr
+from chamail.policy import (
+    BODY_EXCERPT_CAP,
+    UNPARSEABLE,
+    Decision,
+    KeywordMode,
+    Lists,
+    MessageMeta,
+    PolicySet,
+    SenderMode,
+)
 from chamail.principal import Owner, Principal
 
 
@@ -41,3 +56,59 @@ def reference_evaluate(
     if all(verdicts):
         return Decision.VISIBLE
     return Decision.HIDDEN
+
+
+_CRLF_RE = re.compile(r"[\r\n]+")
+
+
+def _unfold(value: str) -> str:
+    return _CRLF_RE.sub("", value)
+
+
+def _first_from_addr(msg):
+    raw = msg.get_all("From")
+    if not raw:
+        return UNPARSEABLE
+    pairs = getaddresses([_unfold(v) for v in raw])
+    for _display, address in pairs:
+        if addr.is_addr_spec(address):
+            return address.lower()
+        if address:
+            break  # first address present but garbled: unparseable, not "skip"
+    return UNPARSEABLE
+
+
+def _body_excerpt(msg) -> str | None:
+    """The decoded start of the first text/plain part; None if there is none."""
+    for part in msg.walk():
+        if part.get_content_type() != "text/plain":
+            continue
+        try:
+            payload = part.get_payload(decode=True)
+        except Exception:
+            payload = None
+        if payload is None:
+            text = part.get_payload()
+            payload = text.encode("utf-8", "replace") if isinstance(text, str) else b""
+        payload = payload[:BODY_EXCERPT_CAP]
+        charset = part.get_content_charset() or "utf-8"
+        try:
+            return payload.decode(charset, "replace")
+        except LookupError:
+            return payload.decode("utf-8", "replace")
+    return None
+
+
+def reference_extract_meta(raw_message: bytes) -> MessageMeta:
+    """extract_meta as it was before the header scanner: the whole blob
+    through the stdlib email parser. It raises TypeError on a raw 8-bit
+    From or Subject, so compare only where it returns."""
+    msg = message_from_bytes(raw_message)
+    subject = msg.get("Subject")
+    excerpt = _body_excerpt(msg)
+    return MessageMeta(
+        sender=_first_from_addr(msg),
+        subject=_unfold(subject) if subject is not None else "",
+        body_excerpt=excerpt or "",
+        has_text_part=excerpt is not None,
+    )

@@ -4,7 +4,8 @@ import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from reference_imapcodec import reference_parse_fetch_attrs
 
 from chamail.errors import ImapSyntaxError, LiteralTooLarge
 from chamail.imapcodec import (
@@ -494,3 +495,51 @@ def test_fetch_attrs_partial_marker_and_nil():
 def test_fetch_attrs_require_parens():
     with pytest.raises(ImapSyntaxError):
         parse_fetch_attrs(b"UID 10")
+
+
+def _literal(body: bytes) -> bytes:
+    return b"{%d}\r\n" % len(body) + body
+
+
+fetch_atoms = st.sampled_from(
+    [b"NIL", b"0", b"42", b"007", b"\\Seen", b"$Junk", b"a{b", b"x\"y", b"\t", b"NILS", b"\xff"]
+)
+fetch_quoted = st.lists(
+    st.sampled_from([b"a", b" ", b"(", b")", b"{", b"\\\"", b"\\\\", b"\\x", b"\r\n"]), max_size=5
+).map(lambda parts: b'"' + b"".join(parts) + b'"')
+fetch_literals = st.lists(
+    st.sampled_from([b"From: a@b.c\r\n", b"(", b")", b'"', b"{3}\r\n", b"\r\n"]), max_size=4
+).map(lambda parts: _literal(b"".join(parts)))
+fetch_values = st.recursive(
+    st.one_of(fetch_atoms, fetch_quoted, fetch_literals),
+    lambda inner: st.lists(inner, max_size=3).map(lambda vs: b"(" + b" ".join(vs) + b")"),
+    max_leaves=6,
+)
+fetch_names = st.sampled_from(
+    [b"UID", b"uid", b"FLAGS", b"RFC822.SIZE", b"BODY[TEXT]<0.65536>", b"BODY[1]",
+     b"BODY[HEADER.FIELDS (FROM SUBJECT)]", b"X"]
+)
+fetch_junk = st.sampled_from([b"", b"", b"", b" ", b"\r\n", b"(", b")", b'"', b"{9}\r\n", b"\\", b"["])
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.tuples(fetch_names, st.sampled_from([b" ", b"  ", b"\r\n", b""]), fetch_values),
+             max_size=4),
+    fetch_junk,
+    st.integers(0, 200),
+)
+def test_fetch_attrs_agree_with_the_byte_scan(items, junk, cut):
+    """The tokenizer against the byte-by-byte scan it replaced, on attribute
+    lists that are well formed and on ones cut short or spliced with junk:
+    the same pairs, or the same error."""
+    body = b" ".join(name + gap + value for name, gap, value in items)
+    for attrs in (b"(" + body + b")", b"(" + body[:cut] + junk + body[cut:] + b")"):
+        try:
+            expected = reference_parse_fetch_attrs(attrs)
+        except (ImapSyntaxError, UnicodeDecodeError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                parse_fetch_attrs(attrs)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_fetch_attrs(attrs) == expected

@@ -1,8 +1,8 @@
 """Policy engine: evaluation semantics, metadata extraction, validation."""
 
 import pytest
-from hypothesis import given, strategies as st
-from reference_policy import reference_evaluate
+from hypothesis import given, settings, strategies as st
+from reference_policy import reference_evaluate, reference_extract_meta
 
 from chamail.errors import InvalidPolicy
 from chamail.policy import (
@@ -283,6 +283,135 @@ def test_extract_caps_body_excerpt():
 
 
 def test_extract_never_raises_on_junk():
-    for raw in (b"", b"\x00\xff\xfe", b"no headers at all", b"From: \r\n\r\n"):
+    idna = b"Content-Type: text/plain; charset=idna\r\n\r\n\xff\r\n"
+    for raw in (b"", b"\x00\xff\xfe", b"no headers at all", b"From: \r\n\r\n", idna):
         m = extract_meta(raw)
         assert m.sender is UNPARSEABLE or isinstance(m.sender, str)
+
+
+def test_extract_reads_8bit_headers_as_utf8():
+    m = extract_meta("From: é <a@b.c>\r\nSubject: café plan\r\n\r\n".encode())
+    assert (m.sender, m.subject) == ("a@b.c", "café plan")
+    invalid = extract_meta(b"From: a@b.c\r\nSubject: caf\xe9\r\n\r\n")
+    assert invalid.subject == "caf\N{REPLACEMENT CHARACTER}"
+    encoded = extract_meta(b"From: a@b.c\r\nSubject: =?utf-8?q?caf=C3=A9?=\r\n\r\n")
+    assert encoded.subject == "=?utf-8?q?caf=C3=A9?="  # encoded words stay as they are
+
+
+def test_extract_8bit_addr_spec_is_unparseable():
+    assert extract_meta("From: café@b.c\r\n\r\n".encode()).sender is UNPARSEABLE
+    assert extract_meta("From: <a@bé.c>\r\n\r\n".encode()).sender is UNPARSEABLE
+
+
+# -- differential property: extract_meta vs the email-parser oracle -------------
+
+
+def _same_meta_where_the_oracle_returns(raw: bytes) -> None:
+    try:
+        expected = reference_extract_meta(raw)
+    except TypeError:  # the parser's 8-bit From or Subject; extract_meta must not raise
+        extract_meta(raw)
+        return
+    assert extract_meta(raw) == expected
+
+
+line_ends = st.sampled_from(["\r\n", "\n", "\r"])
+field_names = st.sampled_from(
+    ["From", "FROM", "from", "Subject", "SUBJECT", "Content-Type", "content-type",
+     "To", "X-Note", ""]
+)
+colons = st.sampled_from([":", ": ", ":\t", " :", "\t:"])  # a space before ":" ends the block
+field_values = st.sampled_from(
+    ["ex@gmail.com", "Alex <EX@GMAIL.COM>", '"Doe, J" <j@d.example>, k@d.example',
+     "not an address", "<>", "", "  ", "café plan", "é <a@b.c>", "=?utf-8?q?caf=C3=A9?= <a@b.c>",
+     "=?utf-8?b?Y2Fmw6k=?=", "tulip orchid", "text/plain", "TEXT/Plain; charset=utf-8",
+     "text/html", 'multipart/mixed; boundary="b"', "message/rfc822", "bogus", "a/b/c",
+     "text/plain\u00a0", "message/café", "invoice\x1c"]
+)
+other_lines = st.sampled_from(
+    ["From someone@example.com Mon Jan  1 00:00:00 2024", "a line that is no header",
+     " a continuation", "\tanother continuation", ":nameless", "Sé: 8-bit name"]
+)
+
+
+@st.composite
+def header_blocks(draw) -> bytes:
+    """Header blocks as a server might serve them, and some it should not:
+    folding, repeated fields, space before the colon, stray lines, a leading
+    mbox From line, 8-bit bytes, any line ends, with or without the blank
+    line, sometimes with bytes after it."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(other_lines))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(other_lines))
+            continue
+        pieces = draw(st.lists(field_values, min_size=1, max_size=3))
+        folds = [draw(st.sampled_from([" ", "\t", "   "])) for _ in pieces[1:]]
+        value = pieces[0] + "".join(
+            "<EOL>" + fold + piece for fold, piece in zip(folds, pieces[1:])
+        )
+        lines.append(draw(field_names) + draw(colons) + value)
+    end = draw(st.sampled_from(["", "<EOL>", "<EOL><EOL>"]))
+    text = "<EOL>".join(lines) + end + draw(st.sampled_from(["", "", "body text<EOL>", "<EOL>"]))
+    pieces = text.split("<EOL>")
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += draw(line_ends) + piece
+    return out.encode(draw(st.sampled_from(["utf-8", "latin-1"])), "replace")
+
+
+@settings(max_examples=400)
+@given(header_blocks())
+def test_extract_meta_agrees_with_the_email_parser_on_header_blocks(raw):
+    _same_meta_where_the_oracle_returns(raw)
+
+
+def _leaf(kind: str, size: int, marker: str) -> str:
+    text = (marker + " " + "plain filler words " * (size // 19 + 1))[:size]
+    if kind == "text/plain":
+        return "Content-Type: text/plain; charset=utf-8\r\n\r\n" + text
+    if kind == "text/plain-qp":
+        return (
+            "Content-Type: text/plain\r\nContent-Transfer-Encoding: quoted-printable"
+            "\r\n\r\n" + text.replace(" ", "=20")
+        )
+    if kind == "text/html":
+        return "Content-Type: text/html\r\n\r\n<p>" + text + "</p>"
+    return "Content-Type: application/octet-stream\r\n\r\n" + "A" * size
+
+
+@st.composite
+def mime_trees(draw, depth=0) -> str:
+    """A multipart body (headers included) whose parts run from a few bytes
+    to tens of KiB, so the 64 KiB cut falls before, inside or after the
+    text/plain part."""
+    boundary = f"b{depth}"
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        if depth < 2 and draw(st.integers(0, 3)) == 0:
+            parts.append(draw(mime_trees(depth + 1)))
+        else:
+            kind = draw(st.sampled_from(["text/plain", "text/plain-qp", "text/html", "other"]))
+            size = draw(st.sampled_from([10, 2_000, 30_000, 60_000, 70_000]))
+            parts.append(_leaf(kind, size, f"marker{depth}{i}"))
+    subtype = draw(st.sampled_from(["mixed", "alternative"]))
+    body = "".join(f"--{boundary}\r\n{part}\r\n" for part in parts) + f"--{boundary}--\r\n"
+    return f'Content-Type: multipart/{subtype}; boundary="{boundary}"\r\n\r\n{body}'
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["From: ex@gmail.com\r\nSubject: plans\r\n", "Subject: plans\r\n"]),
+       mime_trees())
+def test_extract_meta_agrees_with_the_email_parser_on_mime_trees(fields, tree):
+    header, _, body = tree.partition("\r\n\r\n")
+    # what decide() reads: the header block and the first 64 KiB of the body
+    raw = (fields + header + "\r\n\r\n").encode() + body.encode()[:BODY_EXCERPT_CAP]
+    _same_meta_where_the_oracle_returns(raw)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=300))
+def test_extract_meta_is_total(raw):
+    _same_meta_where_the_oracle_returns(raw)

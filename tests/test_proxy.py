@@ -1,15 +1,23 @@
 """Proxy behavior: owner passthrough, sub-user filtering, fail-closed paths."""
 
 import base64
+import contextlib
+import datetime
+import ipaddress
 import json
 import logging
 import mailbox
 import select
 import socket
+import ssl
 import threading
 import time
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from conftest import (
     ACCOUNT,
@@ -20,7 +28,8 @@ from conftest import (
     ImapClient,
     make_household_store,
 )
-from chamail import decisions
+from chamail import decisions, imapcodec
+from chamail import proxy as proxy_module
 from chamail.admincli import main
 from chamail.credstore import CredStore, UpstreamSpec
 from chamail.errors import ConfigError
@@ -198,6 +207,76 @@ def test_stop_ends_a_live_session(store6, mock6, master_key):
         assert client._read() == b""
     finally:
         client.close()
+
+
+@pytest.fixture
+def tls_proxy(tmp_path, store6, master_key):
+    """A proxy that speaks TLS with a fresh self-signed certificate for
+    127.0.0.1; returns (proxy, client context that trusts it)."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "chamail test")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(
+            x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+            critical=False,
+        )
+        .sign(key, hashes.SHA256())
+    )
+    certfile, keyfile = tmp_path / "cert.pem", tmp_path / "key.pem"
+    certfile.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    keyfile.write_bytes(
+        key.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+    )
+    config = ProxyConfig(
+        store_path=store6.path, listen_port=0, tls_certfile=str(certfile), tls_keyfile=str(keyfile)
+    )
+    with ProxyServer(config, store6, master_key) as proxy:
+        yield proxy, ssl.create_default_context(cafile=str(certfile))
+
+
+def _tls_greeting(port: int, context: ssl.SSLContext) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=1) as raw:
+        with context.wrap_socket(raw, server_hostname="127.0.0.1") as tls:
+            return tls.recv(100)
+
+
+def test_silent_client_does_not_hold_up_other_tls_handshakes(tls_proxy):
+    proxy, context = tls_proxy
+    with socket.create_connection(("127.0.0.1", proxy.port)):  # connects, sends nothing
+        started = time.monotonic()
+        assert _tls_greeting(proxy.port, context) == b"* OK IMAP4rev1 service ready\r\n"
+        assert time.monotonic() - started < 1
+
+
+def _read_until_closed(sock: socket.socket) -> None:
+    """Read (a TLS alert, perhaps) until the peer closes or resets; raises
+    socket.timeout if it does not."""
+    with contextlib.suppress(ConnectionResetError):
+        while sock.recv(100):
+            pass
+
+
+def test_failed_or_stalled_tls_handshake_closes_only_its_connection(tls_proxy, monkeypatch):
+    proxy, context = tls_proxy
+    monkeypatch.setattr(imapcodec, "HANDSHAKE_TIMEOUT", 0.3)
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as silent:
+        with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as plain:
+            plain.sendall(b"a1 LOGIN not tls\r\n")  # fails the handshake
+            _read_until_closed(plain)
+        _read_until_closed(silent)  # timed out
+    assert _tls_greeting(proxy.port, context) == b"* OK IMAP4rev1 service ready\r\n"
 
 
 def _dead_port() -> int:
@@ -1080,10 +1159,13 @@ def _alternative(*parts: bytes) -> bytes:
     return head + b"".join(b"--b0\n" + part + b"\n" for part in parts) + b"--b0--\n"
 
 
-def _proxy_and_dryrun(tmp_path, master_key, capsys, messages: list[bytes]):
-    """The spouse's decisions on LF-ended *messages* under blacklist +
-    forbid:secret, as (proxy, dryrun) lists of "VISIBLE"/"HIDDEN". The
-    upstream serves each message with CRLF line ends, as IMAP servers do."""
+def _proxy_and_dryrun(
+    tmp_path, master_key, capsys, messages: list[bytes], forbid="secret", exes=()
+):
+    """The spouse's decisions on LF-ended *messages* under blacklist (the
+    household's exes plus *exes*) + forbid:*forbid*, as (proxy, dryrun)
+    lists of "VISIBLE"/"HIDDEN". The upstream serves each message with CRLF
+    line ends, as IMAP servers do; the sub-user's SELECT must succeed."""
     box_path = tmp_path / "sample.mbox"
     box = mailbox.mbox(str(box_path))
     for raw in messages:
@@ -1096,13 +1178,16 @@ def _proxy_and_dryrun(tmp_path, master_key, capsys, messages: list[bytes]):
     inbox = FixtureMailbox("INBOX", stored, uidvalidity=5, uidnext=10 * (len(messages) + 1))
     with MockIMAPServer([inbox], {ACCOUNT: UPSTREAM_PASSWORD}) as mock:
         cs = make_household_store(tmp_path / "store.json", mock.port, master_key)
-        cs.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, FORBID_SECRET))
+        for member in exes:
+            cs.manage_list(ACCOUNT, "add-member", "exes", member)
+        keywords = (KeywordConstraint(KeywordMode.FORBID_ANY, frozenset({forbid})),)
+        cs.set_policy(ACCOUNT, "spouse", PolicySet(SPOUSE_BLACKLIST, keywords))
         config = ProxyConfig(store_path=cs.path, listen_port=0)
         with ProxyServer(config, cs, master_key) as proxy:
             client = ImapClient(proxy.port)
             try:
                 client.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")
-                client.cmd(b"t2 SELECT INBOX\r\n")
+                assert client.cmd(b"t2 SELECT INBOX\r\n")[-1].startswith(b"t2 OK")
                 shown = set(client.cmd(b"t3 UID SEARCH ALL\r\n")[0].split()[2:])
             finally:
                 client.close()
@@ -1138,3 +1223,52 @@ def test_dryrun_reads_the_bytes_the_proxy_reads(tmp_path, master_key, capsys):
     assert body_lf.index(b"secret") < BODY_EXCERPT_CAP
     proxy_view, dryrun_view = _proxy_and_dryrun(tmp_path, master_key, capsys, [message])
     assert proxy_view == dryrun_view == ["VISIBLE"]
+
+
+def test_8bit_headers_are_decided_and_keep_the_session(tmp_path, master_key, capsys):
+    messages = [
+        # raw UTF-8 header bytes, as RFC 6532 allows
+        "From: friend@uni.example\nSubject: café plan\n\nsee you\n",
+        "From: é <a@b.c>\nSubject: hello\n\nhi\n",
+        "From: Zoë <friend@uni.example>\nSubject: crème brûlée\n\nyum\n",
+        "From: café@b.c\nSubject: hello\n\nhi\n",  # an 8-bit addr-spec fails closed
+    ]
+    proxy_view, dryrun_view = _proxy_and_dryrun(
+        tmp_path, master_key, capsys, [m.encode() for m in messages],
+        forbid="café", exes=["a@b.c"],
+    )
+    assert proxy_view == dryrun_view == ["HIDDEN", "HIDDEN", "VISIBLE", "HIDDEN"]
+
+
+def test_failing_decision_fails_select_after_the_tagged_line(scripted_session, monkeypatch):
+    release = threading.Event()
+    mailbox_script = _scripted_mailbox({"exists": 3, "lie": False})
+
+    def script(line, send):
+        if b"HEADER.FIELDS" not in line or release.is_set():
+            return mailbox_script(line, send)
+
+        def send_held(data):
+            if not data.startswith(b"* "):
+                release.wait(10)  # hold the tagged line back
+            send(data)
+
+        mailbox_script(line, send_held)
+
+    calls = []
+    real_decide = proxy_module.decide
+
+    def decide(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("a bug in deciding one row")
+        return real_decide(*args)
+
+    monkeypatch.setattr(proxy_module, "decide", decide)
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    client.send(b"t1 SELECT INBOX\r\n")
+    # the failing row has been decided, the tagged line has not come: no answer yet
+    assert select.select([client.sock], [], [], 0.5)[0] == []
+    release.set()
+    assert client._read() == b"t1 NO cannot open mailbox with filtering guaranteed\r\n"
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
