@@ -14,6 +14,7 @@ proxy uses, so the two cannot drift apart.
 from __future__ import annotations
 
 import email
+import email.header
 import email.utils
 import re
 import socket
@@ -151,6 +152,9 @@ def _header_fields(raw: bytes, wanted: list[str]) -> bytes:
 def _get_header(raw: bytes, name: str) -> str | None:
     msg = email.message_from_bytes(raw)
     value = msg.get(name)
+    if isinstance(value, email.header.Header):  # raw 8-bit bytes: read as UTF-8 (RFC 6532)
+        octets = b"".join(chunk for chunk, _charset in email.header.decode_header(value))
+        value = octets.decode("utf-8", "replace")
     return None if value is None else re.sub(r"[\r\n]+", "", value)
 
 

@@ -243,10 +243,6 @@ class UpstreamConnection:
 # -- per-session engine -----------------------------------------------------------
 
 
-_NOT_AUTH = "NOT_AUTHENTICATED"
-_AUTH = "AUTHENTICATED"
-_SELECTED = "SELECTED"
-
 def _same_mailbox(a: str, b: str | None) -> bool:
     return b is not None and mailbox_id(a) == mailbox_id(b)
 
@@ -259,7 +255,6 @@ class ClientSession:
         self.rfile = conn.makefile("rb")
         self.wfile = conn.makefile("wb")
         self.io = imapcodec.StreamCommandIO(self.rfile, self.wfile)
-        self.state = _NOT_AUTH
         self.principal: Principal | None = None
         self.email: str | None = None
         self.upstream: UpstreamConnection | None = None
@@ -268,7 +263,6 @@ class ClientSession:
         self.selected_mailbox: str | None = None
         self.active_policy: PolicySet | None = None
         self.active_lists: dict | None = None
-        self._pending_exists: int | None = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -353,7 +347,7 @@ class ClientSession:
         if verb is Verb.LOGOUT:
             return self._handle_logout(cmd)
 
-        if self.state == _NOT_AUTH:
+        if self.principal is None:
             if verb is Verb.LOGIN:
                 self._handle_login(cmd, cmd.login)
             elif verb is Verb.AUTHENTICATE:
@@ -455,7 +449,6 @@ class ClientSession:
         self.upstream_id = (host, port, target.upstream_login)
         self.principal = principal
         self.email = account.email
-        self.state = _AUTH
         if isinstance(principal, Owner):
             for blob in untagged:
                 self._send(blob)
@@ -559,18 +552,13 @@ class ClientSession:
         return tagged
 
     def _absorb_stray(self, resp) -> None:
-        """Default handling for unsolicited upstream responses."""
+        """Default handling for unsolicited upstream responses. The view
+        answers for every seq up to the last EXISTS; an arrival it has not
+        decided yet is HIDDEN."""
         view = self.view
+        if view is None:
+            return
         if isinstance(resp, ExpungeEvent):
-            if view is None:
-                return
-            newcomer = self._is_newcomer(resp.seq)
-            if self._pending_exists is not None:
-                # An EXISTS earlier in this response counted messages that
-                # later expunges shrink, and a newcomer may be the one that left.
-                self._pending_exists -= 1
-            if newcomer:
-                return
             try:
                 virtual = view.apply_upstream_expunge(resp.seq)
             except UnknownSeq as exc:
@@ -578,52 +566,36 @@ class ClientSession:
             if virtual is not None:
                 self._send(b"* %d EXPUNGE\r\n" % virtual)
         elif isinstance(resp, Exists):
-            if view is None:
-                return
-            if resp.count < view.upstream_exists():
-                raise SessionAborted("upstream EXISTS shrank without expunge")
-            if resp.count > view.upstream_exists():
-                self._pending_exists = resp.count
-        elif isinstance(resp, Recent):
-            pass
+            try:
+                view.note_exists(resp.count)
+            except UnknownSeq as exc:
+                raise SessionAborted(f"upstream EXISTS shrank without expunge: {exc}") from exc
         elif isinstance(resp, FetchData):
-            if view is None or self._is_newcomer(resp.seq):
-                return
             try:
                 virtual = view.map_down_seq(resp.seq)
             except UnknownSeq as exc:
                 raise SessionAborted(f"upstream fetch desync: {exc}") from exc
             if virtual is not HIDDEN:
                 self._send(b"* %d FETCH " % virtual + resp.attrs + CRLF)
-        elif isinstance(resp, UntaggedStatus):
-            if resp.code == "UIDVALIDITY" and view is not None:
-                if resp.code_args.strip() != str(view.uidvalidity):
-                    raise SessionAborted("UIDVALIDITY changed mid-session")
-        # everything else (FLAGS lists, LIST data, alerts) is dropped:
+        elif isinstance(resp, UntaggedStatus) and resp.code == "UIDVALIDITY":
+            if resp.code_args.strip() != str(view.uidvalidity):
+                raise SessionAborted("UIDVALIDITY changed mid-session")
+        # everything else (RECENT, FLAGS lists, LIST data, alerts) is dropped:
         # the sub-user engine only forwards what it understands.
 
-    def _is_newcomer(self, seq: int) -> bool:
-        """Whether upstream *seq* is an arrival the upstream has announced
-        (EXISTS) and the view has not taken in yet. Its replies are dropped
-        until _flush_pending_exists decides whether the sub-user may see it."""
-        pending, view = self._pending_exists, self.view
-        return pending is not None and view is not None and view.upstream_exists() < seq <= pending
-
     def _flush_pending_exists(self) -> None:
-        """Fetch metadata for newly arrived messages and maybe announce them."""
-        while self._pending_exists is not None:
-            target = self._pending_exists
-            self._pending_exists = None
-            view = self.view
-            if view is None or target <= view.upstream_exists():
-                continue
-            first = view.upstream_exists() + 1
+        """Decide the arrivals the upstream has announced, announcing the
+        visible ones; an EXISTS during the metadata fetch adds more."""
+        view = self.view
+        while view is not None and (arrivals := view.undecided()):
             assert self.selected_mailbox is not None
-            decisions = self._fetch_decisions(
-                first, target, self._decision_key(self.selected_mailbox, view.uidvalidity)
-            )
+            key = self._decision_key(self.selected_mailbox, view.uidvalidity)
+            decisions = self._fetch_decisions(arrivals[0], arrivals[-1], key)
             newcomers = [(seq, uid, decision) for seq, uid, decision, _flags in decisions]
             try:
+                # RFC 3501 §7.4.1: no EXPUNGE may shift the seqs meanwhile
+                if view.undecided()[: len(arrivals)] != arrivals:
+                    raise InconsistentInput("an expunge moved the arrivals")
                 announced = view.extend_on_new(newcomers)
             except InconsistentInput as exc:
                 raise SessionAborted(f"newcomer desync: {exc}") from exc
@@ -770,8 +742,6 @@ class ClientSession:
         # leaving any previously selected mailbox behind
         self.view = None
         self.selected_mailbox = None
-        self.state = _AUTH
-        self._pending_exists = None
 
         try:
             tagged, collected, decisions = self._examine_and_evaluate(cmd.mailbox)
@@ -789,7 +759,6 @@ class ClientSession:
         view = ViewMap(rows, collected["uidvalidity"])
         self.view = view
         self.selected_mailbox = cmd.mailbox
-        self.state = _SELECTED
 
         for raw in collected["flags"]:
             self._send(raw)
@@ -800,7 +769,7 @@ class ClientSession:
         self._tagged(cmd.tag, "OK", f"[READ-ONLY] {completion_text(cmd.name)}")
 
     def _subuser_close(self, cmd: Command) -> None:
-        if self.state != _SELECTED:
+        if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
         assert self.upstream is not None
@@ -808,8 +777,6 @@ class ClientSession:
         self._subuser_exchange(f"{tag} CLOSE\r\n".encode(), tag)
         self.view = None
         self.selected_mailbox = None
-        self.state = _AUTH
-        self._pending_exists = None
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
     def _subuser_list(self, cmd: Command) -> None:
@@ -894,11 +861,12 @@ class ClientSession:
         """Policy-evaluate *target* over the main upstream connection.
 
         The upstream holds one selection per connection, so this EXAMINEs
-        the target in place and afterwards re-opens and resyncs whatever
-        mailbox the session had selected. Returns (seq, uid, flags) of the
-        target's visible messages, or None if the target cannot be
-        inspected (the session itself stays coherent). Raises
-        SessionAborted when the selected mailbox cannot be restored.
+        the target in place and afterwards puts the session's selection
+        back: it re-opens and resyncs the mailbox the session had selected,
+        or CLOSEs when none was. Returns (seq, uid, flags) of the target's
+        visible messages, or None if the target cannot be inspected; the
+        session goes on either way. Raises SessionAborted only when the
+        selected mailbox cannot be restored.
         """
         assert self.upstream is not None
         if self.active_policy is None or self.active_lists is None:
@@ -906,22 +874,17 @@ class ClientSession:
             self.active_policy, self.active_lists = self._policy_snapshot()
         old_view = self.view
         old_mailbox = self.selected_mailbox
-        was_selected = self.state == _SELECTED and old_view is not None
-        same = was_selected and _same_mailbox(target, old_mailbox)
 
         # Quiesce event handling: strays during the detour belong to the
         # target mailbox and must not touch the session's view.
         self.view = None
-        self._pending_exists = None
 
         result: list[tuple[int, int, frozenset]] | None = None
-        decisions = None
+        tagged = decisions = None
         collected: dict = {}
         try:
             tagged, collected, decisions = self._examine_and_evaluate(target)
         except SessionAborted as exc:
-            if not was_selected:
-                raise
             log.warning("STATUS inspection of %r failed: %s", target, exc)
         if decisions is not None:
             result = [
@@ -930,9 +893,9 @@ class ClientSession:
                 if decision is Decision.VISIBLE
             ]
 
-        if was_selected:
-            assert old_view is not None and old_mailbox is not None
-            if same and decisions is not None:
+        if old_view is not None:
+            assert old_mailbox is not None
+            if decisions is not None and _same_mailbox(target, old_mailbox):
                 fresh, uidvalidity = decisions, collected["uidvalidity"]
             else:
                 _tagged2, collected2, fresh = self._examine_and_evaluate(old_mailbox)
@@ -940,8 +903,9 @@ class ClientSession:
                     raise SessionAborted("cannot re-open selected mailbox after STATUS")
                 uidvalidity = collected2["uidvalidity"]
             self._reconcile_view(old_view, uidvalidity, fresh)
-        elif decisions is not None:
-            # Return the upstream to an unselected state. CLOSE after
+        elif tagged is None or tagged.status == "OK":
+            # Return the upstream to an unselected state; a failed
+            # inspection may have left the target open. CLOSE after
             # EXAMINE expunges nothing.
             tag = self.upstream.next_tag()
             self._subuser_exchange(f"{tag} CLOSE\r\n".encode("ascii"), tag)
@@ -967,10 +931,9 @@ class ClientSession:
         if new_view.exists() != old_view.exists() - len(vanished):
             self._send(b"* %d EXISTS\r\n" % new_view.exists())
         self.view = new_view
-        self.state = _SELECTED
 
     def _subuser_fetch(self, cmd: Command) -> None:
-        if self.state != _SELECTED or self.view is None:
+        if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
         assert self.upstream is not None and cmd.seq_set is not None
@@ -995,8 +958,6 @@ class ClientSession:
         def relay(resp) -> bool:
             if not isinstance(resp, FetchData):
                 return False
-            if self._is_newcomer(resp.seq):
-                return True
             try:
                 virtual = view.map_down_seq(resp.seq)
             except UnknownSeq as exc:
@@ -1019,7 +980,7 @@ class ClientSession:
         self._send(tagged.raw)
 
     def _subuser_search(self, cmd: Command) -> None:
-        if self.state != _SELECTED or self.view is None:
+        if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
         assert self.upstream is not None

@@ -5,6 +5,11 @@ A sub-user session sees visible messages as virtual sequence numbers
 side of the socket. UIDs pass through unchanged for visible messages
 (UID gaps are ordinary IMAP), so only sequence numbers are virtualized.
 
+The map models the whole upstream mailbox as this session knows it. Slots
+past the decided ones, up to the last EXISTS the upstream announced, are
+undecided arrivals: they are HIDDEN until extend_on_new decides them, so a
+reply about a message nobody has evaluated yet never reaches the client.
+
 The map lives for one selected mailbox in one session and is never
 shared across sessions.
 """
@@ -42,6 +47,10 @@ class ViewMap:
     """Bijection between virtual sequence numbers and visible upstream
     messages, updated live as the upstream mailbox changes.
 
+    Upstream seqs 1..upstream_exists() are decided, VISIBLE or HIDDEN;
+    the seqs in undecided() follow them up to the announced EXISTS and
+    count as HIDDEN. Only a seq beyond the announced EXISTS is unknown.
+
     Lookups read two indexes, the running count of visible slots and the
     visible UIDs; every update drops them and the next lookup rebuilds
     them, so a lookup costs O(log N) and an update O(N).
@@ -56,6 +65,7 @@ class ViewMap:
         # slot index i holds upstream seq i+1
         self._uids: list[int] = []
         self._visible = bytearray()  # 1 where the sub-user may see the slot
+        self._announced = 0  # the upstream's EXISTS; slots past _uids are undecided
         self._append(messages, "upstream seq")
 
     def _changed(self) -> None:
@@ -77,6 +87,7 @@ class ViewMap:
             self._uids.append(uid)
             self._visible.append(visible)
             any_visible = any_visible or visible
+        self._announced = max(self._announced, len(self._uids))
         return any_visible
 
     def _virtual_index(self) -> list[int]:
@@ -92,7 +103,12 @@ class ViewMap:
         return len(self.visible_uids())
 
     def upstream_exists(self) -> int:
+        """Number of decided upstream messages."""
         return len(self._uids)
+
+    def undecided(self) -> range:
+        """Upstream seqs announced by EXISTS and not yet decided."""
+        return range(len(self._uids) + 1, self._announced + 1)
 
     def hidden_uids(self) -> frozenset[int]:
         return frozenset(uid for uid, visible in zip(self._uids, self._visible) if not visible)
@@ -162,14 +178,15 @@ class ViewMap:
         return SequenceSet(tuple(ranges))
 
     def map_down_seq(self, upstream_seq: int):
-        """Virtual sequence number for *upstream_seq*, or HIDDEN.
+        """Virtual sequence number for *upstream_seq*, or HIDDEN (also for
+        an undecided arrival).
 
         A sequence number beyond what upstream has announced means this
         session's model has desynced; that is not survivable.
         """
-        if not 1 <= upstream_seq <= len(self._uids):
+        if not 1 <= upstream_seq <= self._announced:
             raise UnknownSeq(f"upstream seq {upstream_seq} out of range")
-        if not self._visible[upstream_seq - 1]:
+        if upstream_seq > len(self._uids) or not self._visible[upstream_seq - 1]:
             return HIDDEN
         return self._virtual_index()[upstream_seq - 1]
 
@@ -180,25 +197,36 @@ class ViewMap:
 
     # -- live updates ------------------------------------------------------
 
+    def note_exists(self, count: int) -> None:
+        """Record an upstream EXISTS; the seqs it adds are undecided.
+
+        EXISTS never shrinks without an EXPUNGE, so a count below the
+        announced one means this session's model has desynced.
+        """
+        if count < self._announced:
+            raise UnknownSeq(f"EXISTS {count} below the announced {self._announced}")
+        self._announced = count
+
     def apply_upstream_expunge(self, upstream_seq: int) -> int | None:
         """Remove the message at *upstream_seq*; later seqs shift down.
 
         Returns the virtual sequence number to announce downstream, or
-        None when the expunged message was hidden (the client sees no
-        traffic at all).
+        None when the expunged message was hidden or undecided (the client
+        sees no traffic at all).
         """
-        if not 1 <= upstream_seq <= len(self._uids):
-            raise UnknownSeq(f"cannot expunge upstream seq {upstream_seq}")
-        translated = self.map_down_seq(upstream_seq)
-        self._changed()
-        del self._uids[upstream_seq - 1]
-        del self._visible[upstream_seq - 1]
+        translated = self.map_down_seq(upstream_seq)  # raises UnknownSeq if unannounced
+        self._announced -= 1
+        if upstream_seq <= len(self._uids):
+            self._changed()
+            del self._uids[upstream_seq - 1]
+            del self._visible[upstream_seq - 1]
         return None if translated is HIDDEN else translated
 
     def extend_on_new(
         self, new_messages: Iterable[tuple[int, int, Decision]]
     ) -> int | None:
-        """Append newly arrived messages.
+        """Decide arrivals: append them as the next slots, the undecided
+        ones first; any past the announced EXISTS raise it.
 
         Returns the new virtual EXISTS count iff at least one newcomer is
         visible; hidden arrivals are silent.

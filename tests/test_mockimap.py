@@ -474,3 +474,26 @@ def test_one_connection_at_a_time(mock6):
         second.close()
     finally:
         first.close()
+
+
+def test_8bit_header_is_read_as_utf8():
+    """A raw UTF-8 Subject (RFC 6532) is answered in ENVELOPE and SEARCH,
+    and the server goes on serving the next connection."""
+    raw = "From: a@b.example\r\nSubject: café plan\r\n\r\nhi\r\n".encode()
+    inbox = FixtureMailbox("INBOX", [StoredMessage(10, (), raw)], uidvalidity=1, uidnext=11)
+    with MockIMAPServer([inbox], {ACCOUNT: UPSTREAM_PASSWORD}) as server:
+        client = ImapClient(server.port)
+        try:
+            select(client)
+            out = client.cmd(b"a3 FETCH 1 (ENVELOPE)\r\n")
+            assert '"café plan"'.encode() in out[0]
+            out = client.cmd('a4 SEARCH SUBJECT "café"\r\n'.encode())
+            assert out == [b"* SEARCH 1\r\n", b"a4 OK SEARCH completed\r\n"]
+            client.cmd(b"a5 LOGOUT\r\n")
+        finally:
+            client.close()
+        second = ImapClient(server.port)
+        try:
+            login(second)
+        finally:
+            second.close()

@@ -1272,3 +1272,24 @@ def test_failing_decision_fails_select_after_the_tagged_line(scripted_session, m
     release.set()
     assert client._read() == b"t1 NO cannot open mailbox with filtering guaranteed\r\n"
     assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+
+
+def test_failing_decision_fails_status_and_keeps_the_session(scripted_session, monkeypatch):
+    """With no mailbox selected, a STATUS whose inspection fails answers NO,
+    returns the upstream to no selection and keeps the session."""
+    calls = []
+    real_decide = proxy_module.decide
+
+    def decide(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("a bug in deciding one row")
+        return real_decide(*args)
+
+    monkeypatch.setattr(proxy_module, "decide", decide)
+    box = {"exists": 3, "lie": False}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    out = client.cmd(b"t1 STATUS INBOX (MESSAGES)\r\n")
+    assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
+    assert upstream.lines[-1].split(b" ", 1)[1] == b"CLOSE\r\n"
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")

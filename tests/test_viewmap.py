@@ -205,41 +205,78 @@ def test_incremental_equals_rebuild(initial, operations):
         assert view.upstream_exists() == len(rows)
 
 
-@given(st.lists(st.booleans(), max_size=12), ops, st.data())
+# Arrivals the upstream announces (EXISTS) before the view decides them.
+arrival_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("expunge"), st.integers(1, 30)),
+        st.tuples(st.just("exists"), st.lists(st.booleans(), max_size=4)),
+        st.tuples(st.just("extend")),
+    ),
+    max_size=12,
+)
+
+
+@given(st.lists(st.booleans(), max_size=12), arrival_ops, st.data())
 def test_indexed_lookups_follow_updates(initial, operations, data):
     """Every lookup served from the cached indexes agrees with the shadow
-    model after each update, and with lookups made before the update."""
+    model after each update, and with lookups made before the update.
+    Announced arrivals stay HIDDEN until an extend decides them; only a
+    seq past the announced EXISTS is unknown."""
     next_uid = 1000
     rows = []
     for visible in initial:
         rows.append((next_uid, visible))
         next_uid += 7
+    pending = []  # announced, undecided: (uid, the decision extend will make)
     view = ViewMap(
         [(i + 1, uid, V if vis else H) for i, (uid, vis) in enumerate(rows)], 1
     )
     for op in operations:
         view.map_up(parse_sequence_set("1:*"))  # build the indexes before each update
         if op[0] == "expunge":
-            if not rows:
+            if not rows and not pending:
                 continue
-            seq = (op[1] - 1) % len(rows) + 1
-            view.apply_upstream_expunge(seq)
-            del rows[seq - 1]
-        else:
-            batch = []
+            seq = (op[1] - 1) % (len(rows) + len(pending)) + 1
+            expected = None
+            if seq <= len(rows):
+                if rows[seq - 1][1]:
+                    expected = sum(1 for _, vis in rows[:seq] if vis)
+                del rows[seq - 1]
+            else:
+                del pending[seq - len(rows) - 1]
+            assert view.apply_upstream_expunge(seq) == expected
+        elif op[0] == "exists":
             for visible in op[1]:
-                rows.append((next_uid, visible))
-                batch.append((len(rows), next_uid, V if visible else H))
+                pending.append((next_uid, visible))
                 next_uid += 7
-            view.extend_on_new(batch)
+            view.note_exists(len(rows) + len(pending))
+        else:
+            batch = [
+                (len(rows) + i, uid, V if vis else H) for i, (uid, vis) in enumerate(pending, 1)
+            ]
+            rows += pending
+            pending = []
+            announced = view.extend_on_new(batch)
+            visible_count = sum(1 for _, vis in rows if vis)
+            assert announced == (visible_count if any(d is V for _, _, d in batch) else None)
 
+        announced_count = len(rows) + len(pending)
+        with pytest.raises(UnknownSeq):
+            view.map_down_seq(announced_count + 1)
+        with pytest.raises(UnknownSeq):
+            view.apply_upstream_expunge(announced_count + 1)
+        if announced_count:
+            with pytest.raises(UnknownSeq):
+                view.note_exists(announced_count - 1)
+        # the refused calls above changed nothing
+        assert view.undecided() == range(len(rows) + 1, announced_count + 1)
         shadow = shadow_entries(rows)
         visible_uids = tuple(uid for _, _, uid in shadow)
         virtual_of = {upstream: virtual for virtual, upstream, _ in shadow}
         assert view.visible_uids() == visible_uids
         assert view.visible_uid_set() == frozenset(visible_uids)
         assert view.exists() == len(shadow)
-        for upstream in range(1, len(rows) + 1):
+        for upstream in range(1, announced_count + 1):
             assert view.map_down_seq(upstream) == virtual_of.get(upstream, HIDDEN)
         for uid, _ in rows:
             assert view.uid_visible(uid) == (uid in visible_uids)
