@@ -68,6 +68,22 @@ class DecisionCache:
             self._entries.move_to_end(key)
             return [entry.get(uid) for uid in uids]
 
+    def forget_expunged(self, key: tuple, live: Iterable[int]) -> None:
+        """*live* holds every UID the mailbox under *key* has: drop the
+        UIDs of the entry below the largest of them that are not live.
+        UIDs only ascend, so those messages were expunged. A larger UID may
+        be an arrival that another session has already decided; it stays."""
+        live = set(live)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or not live:
+                return
+            top = max(live)
+            dead = [uid for uid in entry if uid <= top and uid not in live]
+            for uid in dead:
+                del entry[uid]
+            self._size -= len(dead)
+
     def store(self, key: tuple, decisions: Mapping[int, Decision]) -> None:
         with self._lock:
             entry = self._entries.get(key)

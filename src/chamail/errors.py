@@ -140,6 +140,11 @@ class SessionAborted(ChamailError):
     """Raised inside a session to tear it down fail-closed."""
 
 
+class ClientGone(ChamailError):
+    """A write to the client failed: the client went away, and the session
+    ends at once, whatever it was waiting on."""
+
+
 # -- mock server -----------------------------------------------------------
 
 class ConfigError(ChamailError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import io
 import json
 import logging
 import re
@@ -35,6 +36,7 @@ from .decisions import DecisionCache, decision_key, mailbox_id
 from .errors import (
     AuthFailed,
     ChamailError,
+    ClientGone,
     ConfigError,
     ImapSyntaxError,
     InconsistentInput,
@@ -156,12 +158,43 @@ def _is_tagged_for(blob: bytes, tag: str) -> bool:
     return m is not None and m.group(1) == tag.encode("ascii")
 
 
-class UpstreamConnection:
-    """Blocking IMAP connection to the real server, one per session."""
+class _FlushFirstIO(socket.SocketIO):
+    """A socket's raw reader that calls *before_read* before each read.
 
-    def __init__(self, host: str, port: int, use_tls: bool, timeout: float = 10.0):
+    The buffered reader over it reads here only when its buffer is empty,
+    that is only when the session would wait on the kernel. A session that
+    flushes its client writer here thus never waits with replies unsent,
+    and sends each batch of replies at once rather than line by line.
+    """
+
+    def __init__(self, sock: socket.socket, before_read):
+        super().__init__(sock, "rb")
+        self._before_read = before_read
+
+    def readinto(self, b) -> int | None:
+        self._before_read()
+        return super().readinto(b)
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Send small writes at once: every write is a whole batch, so Nagle's
+    algorithm would only hold it for the peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+class UpstreamConnection:
+    """Blocking IMAP connection to the real server, one per session.
+
+    *before_read* runs before every read that waits on the server; the
+    session passes the flush of its client writer.
+    """
+
+    def __init__(
+        self, host: str, port: int, use_tls: bool, before_read, timeout: float = 10.0
+    ):
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
+            _no_delay(sock)
             if use_tls:
                 context = ssl.create_default_context()
                 sock = context.wrap_socket(sock, server_hostname=host)
@@ -169,7 +202,7 @@ class UpstreamConnection:
             raise UpstreamUnavailable(f"cannot connect to {host}:{port}: {exc}") from exc
         sock.settimeout(None)
         self.sock = sock
-        self.rfile = sock.makefile("rb")
+        self.rfile = io.BufferedReader(_FlushFirstIO(sock, before_read))
         self.wfile = sock.makefile("wb")
         self._tag_counter = 0
         greeting = self.read_blob()
@@ -252,8 +285,8 @@ class ClientSession:
         self.server = server
         self.conn = conn
         self.peer = peer
-        self.rfile = conn.makefile("rb")
         self.wfile = conn.makefile("wb")
+        self.rfile = io.BufferedReader(_FlushFirstIO(conn, self._flush))
         self.io = imapcodec.StreamCommandIO(self.rfile, self.wfile)
         self.principal: Principal | None = None
         self.email: str | None = None
@@ -267,8 +300,19 @@ class ClientSession:
     # -- plumbing -------------------------------------------------------------
 
     def _send(self, data: bytes) -> None:
-        self.wfile.write(data)
-        self.wfile.flush()
+        """Queue *data* for the client. The writer sends when its buffer
+        fills, and _flush sends the rest before the session next waits."""
+        try:
+            self.wfile.write(data)
+        except OSError as exc:
+            raise ClientGone(f"client write failed: {exc}") from exc
+
+    def _flush(self) -> None:
+        """Runs before every read that waits on the client or the upstream."""
+        try:
+            self.wfile.flush()
+        except OSError as exc:
+            raise ClientGone(f"client write failed: {exc}") from exc
 
     def _tagged(self, tag: str, status: str, text: str) -> None:
         self._send(f"{tag} {status} {text}\r\n".encode("utf-8"))
@@ -293,10 +337,10 @@ class ClientSession:
             self._loop()
         except (SessionAborted, UpstreamUnavailable) as exc:
             log.warning("session from %s aborted: %s", self.peer, exc)
-            with contextlib.suppress(OSError):
+            with contextlib.suppress(ClientGone):
                 self._send(b"* BYE session terminated\r\n")
-        except OSError:
-            pass
+        except (ClientGone, OSError) as exc:  # only the client's socket raises OSError here
+            log.info("client %s went away: %s", self.peer, exc)
         except Exception:
             log.exception("session from %s crashed", self.peer)
         finally:
@@ -418,7 +462,7 @@ class ClientSession:
             self._tagged(cmd.tag, "NO", UPSTREAM_FAILED_TEXT)
             return
         try:
-            upstream = UpstreamConnection(host, port, use_tls)
+            upstream = UpstreamConnection(host, port, use_tls, self._flush)
         except UpstreamUnavailable as exc:
             log.warning("upstream connect failed for %s: %s", account.email, exc)
             self._tagged(cmd.tag, "NO", UPSTREAM_FAILED_TEXT)
@@ -522,7 +566,7 @@ class ClientSession:
         when it declines, to _absorb_stray). Any failure while handling a
         reply is raised as SessionAborted only once the tagged line is read,
         so the upstream stays in step; replies after it are dropped
-        uninterpreted."""
+        uninterpreted. A client that went away ends the session at once."""
         assert self.upstream is not None
         failure: list[SessionAborted] = []
 
@@ -535,6 +579,8 @@ class ClientSession:
                     raise SessionAborted("unexpected upstream continuation")
                 if on_data is None or not on_data(resp):
                     self._absorb_stray(resp)
+            except ClientGone:
+                raise
             except SessionAborted as exc:
                 failure.append(exc)
             except ImapSyntaxError as exc:
@@ -641,6 +687,8 @@ class ClientSession:
 
             self._fetch_rows(seqs, "UID FLAGS", learn)
             cached = cache.lookup(key, [uids[seq] for seq in seqs])
+            if first == 1:  # callers ask up to the last EXISTS: every live UID
+                cache.forget_expunged(key, uids.values())
             decided = {seq: hit for seq, hit in zip(seqs, cached) if hit is not None}
         misses = [seq for seq in seqs if seq not in decided]
         if misses:
@@ -1095,17 +1143,18 @@ class ProxyServer:
                 conn, addr = self._sock.accept()
             except OSError:  # stop() shut the listening socket down
                 return
-            if self._ssl_context is not None:
-                # The session's own thread runs the handshake, under a time
-                # limit, so a silent client holds up only itself.
-                try:
+            try:
+                _no_delay(conn)
+                if self._ssl_context is not None:
+                    # The session's own thread runs the handshake, under a
+                    # time limit, so a silent client holds up only itself.
                     conn = self._ssl_context.wrap_socket(
                         conn, server_side=True, do_handshake_on_connect=False
                     )
-                except OSError as exc:
-                    log.warning("TLS setup failed for %s: %s", addr, exc)
-                    conn.close()
-                    continue
+            except OSError as exc:
+                log.warning("socket setup failed for %s: %s", addr, exc)
+                conn.close()
+                continue
             session = ClientSession(self, conn, f"{addr[0]}:{addr[1]}")
             thread = threading.Thread(target=session.run, daemon=True)
             thread.start()

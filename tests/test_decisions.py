@@ -93,6 +93,19 @@ def test_a_key_larger_than_the_cap_is_not_kept(monkeypatch):
     assert cache._size == 0
 
 
+def test_forgetting_expunged_uids_keeps_later_arrivals_and_the_count():
+    cache = DecisionCache()
+    cache.store(key(), {10: V, 20: H, 30: V, 40: H, 50: V, 60: H})
+    cache.store(key("A"), {20: V})
+    # 20 and 40 were expunged; 60 arrived after the caller's EXISTS
+    cache.forget_expunged(key(), [10, 30, 50])
+    assert cache.lookup(key(), [10, 20, 30, 40, 50, 60]) == [V, None, V, None, V, H]
+    assert cache.lookup(key("A"), [20]) == [V]
+    assert cache._size == 5
+    cache.forget_expunged(key("B"), [10])
+    assert key("B") not in cache and cache._size == 5
+
+
 def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
     monkeypatch.setattr(decisions, "CAP_UIDS", 50)
     cache = DecisionCache()
@@ -112,6 +125,8 @@ def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
                     if hit not in (None, decision_of(uid)):
                         errors.append((k, uid, hit))
                 cache.store(k, {uid: decision_of(uid) for uid in uids})
+                if rng.random() < 0.2:
+                    cache.forget_expunged(k, rng.sample(range(40), rng.randint(1, 30)))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 

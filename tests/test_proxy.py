@@ -10,6 +10,7 @@ import mailbox
 import select
 import socket
 import ssl
+import struct
 import threading
 import time
 
@@ -1293,3 +1294,128 @@ def test_failing_decision_fails_status_and_keeps_the_session(scripted_session, m
     assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
     assert upstream.lines[-1].split(b" ", 1)[1] == b"CLOSE\r\n"
     assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+
+
+def test_reselect_forgets_the_decisions_of_expunged_messages(spouse_session, proxy6, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    assert proxy6.decisions._size == 6
+    for uid in (10, 30):
+        mock6.inject_expunge("INBOX", uid)
+    assert b"* 3 EXISTS\r\n" in spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    [entry] = proxy6.decisions._entries.values()
+    assert sorted(entry) == [20, 40, 50, 60]
+    assert proxy6.decisions._size == 4
+
+
+# -- the write path: one flush before each wait ------------------------------------------
+
+
+def test_both_proxy_sockets_send_without_delay(owner_session, proxy6):
+    [(session, _thread)] = proxy6._sessions
+    for sock in (session.conn, session.upstream.sock):
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+
+
+def test_a_multi_line_reply_leaves_in_one_send(scripted_session, monkeypatch):
+    rows = [b"* 3 EXISTS\r\n", b"* 0 RECENT\r\n", b"* OK [UIDVALIDITY 9] UIDs valid\r\n"]
+
+    def script(line, send):
+        send(b"".join(rows) + line.split(b" ", 1)[0] + b" OK [READ-WRITE] SELECT completed\r\n")
+
+    client, _upstream = scripted_session(script)
+    proxy_port = client.sock.getpeername()[1]
+    sends = []
+    real_write = socket.SocketIO.write
+
+    def write(self, data):
+        if self._sock.getsockname()[1] == proxy_port:  # the session's client socket
+            sends.append(bytes(data))
+        return real_write(self, data)
+
+    monkeypatch.setattr(socket.SocketIO, "write", write)
+    out = client.cmd(b"a1 SELECT INBOX\r\n")
+    assert out == rows + [b"a1 OK [READ-WRITE] SELECT completed\r\n"]
+    assert sends == [b"".join(out)]
+
+
+def test_subuser_rows_reach_the_client_before_the_tagged_line(scripted_session):
+    release = threading.Event()
+    mailbox_script = _scripted_mailbox({"exists": 3, "lie": False, "hidden": {2}})
+
+    def script(line, send):
+        if b"(FLAGS)" not in line:
+            return mailbox_script(line, send)
+
+        def send_held(data):
+            if not data.startswith(b"* "):
+                release.wait(10)  # hold the tagged line back
+            send(data)
+
+        mailbox_script(line, send_held)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    client.sock.settimeout(5)
+    client.send(b"t2 FETCH 1:* (FLAGS)\r\n")
+    try:
+        assert client._read() == b"* 1 FETCH (UID 10 FLAGS ())\r\n"
+        assert client._read() == b"* 2 FETCH (UID 30 FLAGS ())\r\n"
+    finally:
+        release.set()
+    assert client._read() == b"t2 OK FETCH completed\r\n"
+
+
+def test_pipelined_commands_are_all_answered(scripted_session):
+    def script(line, send):
+        send(line.split(b" ", 1)[0] + b" OK NOOP completed\r\n")
+
+    client, _upstream = scripted_session(script)
+    client.sock.settimeout(5)
+    # the last one is answered by the proxy itself
+    client.send(b"a1 NOOP\r\na2 NOOP\r\na3 CAPABILITY\r\n")
+    assert client._read() == b"a1 OK NOOP completed\r\n"
+    assert client._read() == b"a2 OK NOOP completed\r\n"
+    assert client._read().startswith(b"* CAPABILITY ")
+    assert client._read() == b"a3 OK CAPABILITY completed\r\n"
+
+
+def test_a_client_gone_mid_reply_ends_the_session_at_once(scripted_session, caplog):
+    asked, go, finish = threading.Event(), threading.Event(), threading.Event()
+    mailbox_script = _scripted_mailbox({"exists": 3000, "lie": False})
+
+    def script(line, send):
+        if b"(FLAGS)" not in line:
+            return mailbox_script(line, send)
+        asked.set()
+        go.wait(10)
+
+        def send_until_cut(data):
+            if not data.startswith(b"* "):
+                finish.wait(10)  # hold the tagged line back
+            with contextlib.suppress(OSError):
+                send(data)
+
+        mailbox_script(line, send_until_cut)
+
+    def went_away():
+        return [r for r in caplog.records if "went away" in r.getMessage()]
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    assert b"* 3000 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    with caplog.at_level(logging.INFO, logger="chamail.proxy"):
+        client.send(b"t2 FETCH 1:* (FLAGS)\r\n")
+        assert asked.wait(10)
+        client.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()  # a reset, before any row arrives
+        go.set()
+        try:
+            # the session ends while the upstream still holds its tagged line
+            deadline = time.monotonic() + 5
+            while not went_away() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            [gone] = went_away()
+        finally:
+            finish.set()
+    assert gone.levelno == logging.INFO and "upstream" not in gone.getMessage()
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert all(r.exc_info is None for r in caplog.records)
