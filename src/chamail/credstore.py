@@ -153,14 +153,12 @@ class SubUserRecord:
     name: str
     credential: CredentialRecord
     policy: PolicySet
-    readonly: bool = True  # always true in v1
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
             "credential": self.credential.to_json(),
             "policy": self.policy.to_json(),
-            "readonly": self.readonly,
         }
 
     @classmethod
@@ -169,7 +167,6 @@ class SubUserRecord:
             name=data["name"],
             credential=CredentialRecord.from_json(data["credential"]),
             policy=PolicySet.from_json(data["policy"]),
-            readonly=bool(data.get("readonly", True)),
         )
 
 

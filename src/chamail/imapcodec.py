@@ -126,13 +126,7 @@ class Command:
     seq_set: "SequenceSet | None" = None
     rest: bytes = b""  # raw argument tail (literal markers inline)
     literals: tuple[bytes, ...] = ()  # resolved literal bodies, in order
-    # Wire segments for replay: ('line', bytes) | ('literal', bytes) |
-    # ('literal+', bytes). Lines include their CRLF.
-    wire_parts: tuple[tuple[str, bytes], ...] = field(default=(), compare=False)
-
-    @property
-    def raw(self) -> bytes:
-        return b"".join(data for _, data in self.wire_parts)
+    raw: bytes = field(default=b"", compare=False)  # as received, for replay
 
 
 # -- low-level token scanning --------------------------------------------------
@@ -141,8 +135,8 @@ class Command:
 class _Scanner:
     """Cursor over a command's argument bytes, resolving literals via io.
 
-    Tracks the original wire segments and every resolved literal so the
-    command can be replayed upstream exactly as received.
+    Keeps the command's bytes and every resolved literal so the command
+    can be replayed upstream exactly as received.
     """
 
     def __init__(self, first_line: bytes, io: CommandIO | None):
@@ -151,7 +145,7 @@ class _Scanner:
         self.io = io
         self.line = first_line[:-2]
         self.pos = 0
-        self.wire_parts: list[tuple[str, bytes]] = [("line", first_line)]
+        self.raw = bytearray(first_line)
         self.literals: list[bytes] = []
 
     # how much of the current line remains
@@ -215,8 +209,7 @@ class _Scanner:
         next_line = self.io.read_line()
         if not next_line.endswith(CRLF):
             raise ImapSyntaxError("command line must end with CRLF")
-        self.wire_parts.append(("literal+" if nonsync else "literal", data))
-        self.wire_parts.append(("line", next_line))
+        self.raw += data + next_line
         self.literals.append(data)
         self.line = next_line[:-2]
         self.pos = 0
@@ -335,7 +328,7 @@ def parse_command(line: bytes, io: CommandIO | None = None) -> Command:
             cmd.rest = scanner.read_tail()
 
     cmd.literals = tuple(scanner.literals)
-    cmd.wire_parts = tuple(scanner.wire_parts)
+    cmd.raw = bytes(scanner.raw)
     return cmd
 
 
@@ -708,7 +701,9 @@ def render_astring(value: str) -> bytes:
 
 
 def render_command(cmd: Command) -> bytes:
-    """Canonical single-blob rendering (replayed literals are non-sync)."""
+    """Canonical single-blob rendering. A mailbox or login that needs a
+    literal is written as a synchronizing {n} one, whose continuation
+    UpstreamConnection.send_blob waits for."""
     head = f"{cmd.tag} {cmd.name}".encode("ascii")
     if cmd.verb is Verb.LOGIN:
         assert cmd.login is not None

@@ -32,14 +32,13 @@ from pathlib import Path
 
 from . import imapcodec, store
 from .credstore import CredStore
-from .decisions import DecisionCache, decision_key, mailbox_id
+from .decisions import DecisionCache, decision_key
 from .errors import (
     AuthFailed,
     ChamailError,
     ClientGone,
     ConfigError,
     ImapSyntaxError,
-    InconsistentInput,
     LineTooLong,
     LiteralTooLarge,
     SessionAborted,
@@ -274,10 +273,6 @@ class UpstreamConnection:
 
 
 # -- per-session engine -----------------------------------------------------------
-
-
-def _same_mailbox(a: str, b: str | None) -> bool:
-    return b is not None and mailbox_id(a) == mailbox_id(b)
 
 
 class ClientSession:
@@ -629,23 +624,17 @@ class ClientSession:
         # everything else (RECENT, FLAGS lists, LIST data, alerts) is dropped:
         # the sub-user engine only forwards what it understands.
 
-    def _flush_pending_exists(self) -> None:
+    def _flush_pending_exists(self, announce: bool = True) -> None:
         """Decide the arrivals the upstream has announced, announcing the
-        visible ones; an EXISTS during the metadata fetch adds more."""
+        visible ones unless *announce* is False; an EXISTS during the
+        metadata fetch adds more."""
         view = self.view
         while view is not None and (arrivals := view.undecided()):
             assert self.selected_mailbox is not None
             key = self._decision_key(self.selected_mailbox, view.uidvalidity)
-            decisions = self._fetch_decisions(arrivals[0], arrivals[-1], key)
-            newcomers = [(seq, uid, decision) for seq, uid, decision, _flags in decisions]
-            try:
-                # RFC 3501 §7.4.1: no EXPUNGE may shift the seqs meanwhile
-                if view.undecided()[: len(arrivals)] != arrivals:
-                    raise InconsistentInput("an expunge moved the arrivals")
-                announced = view.extend_on_new(newcomers)
-            except InconsistentInput as exc:
-                raise SessionAborted(f"newcomer desync: {exc}") from exc
-            if announced is not None:
+            rows, _flags = self._fetch_decisions(arrivals[0], arrivals[-1], key)
+            announced = view.extend_on_new(rows)
+            if announce and announced is not None:
                 self._send(b"* %d EXISTS\r\n" % announced)
 
     # -- metadata fetching ---------------------------------------------------------
@@ -663,14 +652,14 @@ class ClientSession:
 
     def _fetch_decisions(
         self, first: int, last: int, key: tuple
-    ) -> list[tuple[int, int, Decision, frozenset]]:
+    ) -> tuple[list[tuple[int, int, Decision]], dict[int, frozenset]]:
         """Evaluate policy over upstream seqs first..last.
 
-        Returns (upstream_seq, uid, decision, flags) rows. Decisions the
-        server holds under *key* are reused: a first FETCH learns the UIDs
-        and flags, and only the misses are fetched again, with every
-        metadata item the policy reads in one FETCH, and decided row by
-        row. Any gap, parse failure or UID mismatch fails the whole
+        Returns (upstream_seq, uid, decision) rows and each seq's flags.
+        Decisions the server holds under *key* are reused: a first FETCH
+        learns the UIDs and flags, and only the misses are fetched again,
+        with every metadata item the policy reads in one FETCH, and decided
+        row by row. Any gap, parse failure or UID mismatch fails the whole
         operation and caches nothing — a sub-user never sees an unfiltered
         or half-filtered mailbox.
         """
@@ -710,13 +699,14 @@ class ClientSession:
             cache.store(key, {uids[seq]: decided[seq] for seq in misses})
         hits = len(seqs) - len(misses)
         log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
-        return [(seq, uids[seq], decided[seq], flags[seq]) for seq in seqs]
+        return [(seq, uids[seq], decided[seq]) for seq in seqs], flags
 
     def _fetch_rows(self, seqs: list[int], items: str, on_row) -> None:
-        """FETCH *items* for upstream *seqs* by sequence number (RFC 3501
-        §7.4.1 allows no EXPUNGE meanwhile), handing each row's parsed
-        attributes to *on_row(seq, attrs)* as it arrives. A refused FETCH, a
-        missing seq, bad attributes or a failure in *on_row* abort."""
+        """FETCH *items* for upstream *seqs* by sequence number, handing
+        each row's parsed attributes to *on_row(seq, attrs)* as it arrives.
+        A refused FETCH, a missing seq, bad attributes, a failure in
+        *on_row* or an EXPUNGE, which RFC 3501 §7.4.1 forbids meanwhile,
+        abort."""
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         seq_set = SequenceSet.from_numbers(seqs).render()
@@ -724,6 +714,8 @@ class ClientSession:
         pending = set(seqs)
 
         def row(resp) -> bool:
+            if isinstance(resp, ExpungeEvent):
+                raise SessionAborted("EXPUNGE during a metadata FETCH")
             if not isinstance(resp, FetchData):
                 return False
             if resp.seq in pending:
@@ -746,11 +738,11 @@ class ClientSession:
         self._flush_pending_exists()
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
-    def _examine_and_evaluate(self, mailbox: str):
-        """EXAMINE *mailbox* on the main connection and policy-evaluate it.
+    def _examine(self, mailbox: str):
+        """EXAMINE *mailbox* on the main connection.
 
-        Returns (tagged, collected, decisions); decisions is None when the
-        upstream refused the mailbox (tagged carries its answer).
+        Returns (tagged, collected); when the upstream said OK, collected
+        holds the EXISTS and the UIDVALIDITY.
         """
         assert self.upstream is not None
         tag = self.upstream.next_tag()
@@ -774,43 +766,58 @@ class ClientSession:
 
         tagged = self._subuser_exchange(render_command(examine), tag, collect)
         if tagged.status != "OK":
-            return tagged, collected, None
+            return tagged, collected
         exists = collected["exists"]
         uidvalidity_text = collected["uidvalidity"]
         if exists is None or uidvalidity_text is None or not uidvalidity_text.isdigit():
             raise SessionAborted("upstream EXAMINE response missing EXISTS/UIDVALIDITY")
-        uidvalidity = collected["uidvalidity"] = int(uidvalidity_text)
-        key = self._decision_key(mailbox, uidvalidity)
-        return tagged, collected, self._fetch_decisions(1, exists, key) if exists else []
+        collected["uidvalidity"] = int(uidvalidity_text)
+        return tagged, collected
+
+    def _open(self, mailbox: str):
+        """EXAMINE *mailbox* and make it the session's selection.
+
+        The view starts empty, holding the EXAMINE's EXISTS, and its
+        messages are decided as arrivals are, so an EXISTS during the
+        metadata fetch is kept. Nothing is sent to the client; the caller
+        tells it. Returns the EXAMINE's (tagged, collected). Nothing is
+        selected when the upstream refuses the mailbox or deciding fails.
+        """
+        self.view = None
+        self.selected_mailbox = None
+        tagged, collected = self._examine(mailbox)
+        if tagged.status != "OK":
+            return tagged, collected
+        view = ViewMap([], collected["uidvalidity"])
+        view.note_exists(collected["exists"])
+        self.view, self.selected_mailbox = view, mailbox
+        try:
+            self._flush_pending_exists(announce=False)
+        except SessionAborted:
+            self.view = None
+            self.selected_mailbox = None
+            raise
+        return tagged, collected
 
     def _subuser_select(self, cmd: Command) -> None:
         assert self.upstream is not None and cmd.mailbox is not None
         policy, lists = self._policy_snapshot()
         self.active_policy, self.active_lists = policy, lists
-        # leaving any previously selected mailbox behind
-        self.view = None
-        self.selected_mailbox = None
-
         try:
-            tagged, collected, decisions = self._examine_and_evaluate(cmd.mailbox)
+            tagged, collected = self._open(cmd.mailbox)
         except SessionAborted as exc:
             # fail closed but keep the session: the mailbox simply cannot
             # be opened with filtering guaranteed
             log.warning("sub-user select of %r failed: %s", cmd.mailbox, exc)
             self._tagged(cmd.tag, "NO", "cannot open mailbox with filtering guaranteed")
             return
-        if decisions is None:
+        if self.view is None:
             self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "SELECT failed")
             return
 
-        rows = [(seq, uid, decision) for seq, uid, decision, _ in decisions]
-        view = ViewMap(rows, collected["uidvalidity"])
-        self.view = view
-        self.selected_mailbox = cmd.mailbox
-
         for raw in collected["flags"]:
             self._send(raw)
-        self._send(b"* %d EXISTS\r\n" % view.exists())
+        self._send(b"* %d EXISTS\r\n" % self.view.exists())
         self._send(b"* 0 RECENT\r\n")
         for raw in collected["uid_codes"]:
             self._send(raw)
@@ -889,12 +896,11 @@ class ClientSession:
             "UIDVALIDITY": passthrough.get("UIDVALIDITY", 0),
         }
         if "MESSAGES" in requested or "UNSEEN" in requested:
-            visible = self._count_visible(cmd.mailbox)
-            if visible is None:
+            counts = self._count_visible(cmd.mailbox)
+            if counts is None:
                 self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
                 return
-            values["MESSAGES"] = len(visible)
-            values["UNSEEN"] = sum(1 for _, _, flags in visible if "\\Seen" not in flags)
+            values["MESSAGES"], values["UNSEEN"] = counts
 
         rendered = " ".join(f"{item} {values[item]}" for item in requested)
         self._send(
@@ -905,16 +911,16 @@ class ClientSession:
         )
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
-    def _count_visible(self, target: str) -> list[tuple[int, int, frozenset]] | None:
+    def _count_visible(self, target: str) -> tuple[int, int] | None:
         """Policy-evaluate *target* over the main upstream connection.
 
         The upstream holds one selection per connection, so this EXAMINEs
         the target in place and afterwards puts the session's selection
-        back: it re-opens and resyncs the mailbox the session had selected,
-        or CLOSEs when none was. Returns (seq, uid, flags) of the target's
-        visible messages, or None if the target cannot be inspected; the
-        session goes on either way. Raises SessionAborted only when the
-        selected mailbox cannot be restored.
+        back: it re-opens the mailbox the session had selected and
+        announces what changed, or CLOSEs when none was. Returns the
+        target's visible and visible-unseen message counts, or None if the
+        target cannot be inspected; the session goes on either way. Raises
+        SessionAborted only when the selected mailbox cannot be restored.
         """
         assert self.upstream is not None
         if self.active_policy is None or self.active_lists is None:
@@ -927,47 +933,39 @@ class ClientSession:
         # target mailbox and must not touch the session's view.
         self.view = None
 
-        result: list[tuple[int, int, frozenset]] | None = None
-        tagged = decisions = None
-        collected: dict = {}
+        counts: tuple[int, int] | None = None
+        tagged = None
         try:
-            tagged, collected, decisions = self._examine_and_evaluate(target)
+            tagged, collected = self._examine(target)
+            if tagged.status == "OK":
+                exists = collected["exists"]
+                key = self._decision_key(target, collected["uidvalidity"])
+                rows, flags = self._fetch_decisions(1, exists, key) if exists else ([], {})
+                visible = [seq for seq, _uid, decision in rows if decision is Decision.VISIBLE]
+                counts = len(visible), sum("\\Seen" not in flags[seq] for seq in visible)
         except SessionAborted as exc:
             log.warning("STATUS inspection of %r failed: %s", target, exc)
-        if decisions is not None:
-            result = [
-                (seq, uid, flags)
-                for seq, uid, decision, flags in decisions
-                if decision is Decision.VISIBLE
-            ]
 
         if old_view is not None:
             assert old_mailbox is not None
-            if decisions is not None and _same_mailbox(target, old_mailbox):
-                fresh, uidvalidity = decisions, collected["uidvalidity"]
-            else:
-                _tagged2, collected2, fresh = self._examine_and_evaluate(old_mailbox)
-                if fresh is None:
-                    raise SessionAborted("cannot re-open selected mailbox after STATUS")
-                uidvalidity = collected2["uidvalidity"]
-            self._reconcile_view(old_view, uidvalidity, fresh)
+            self._open(old_mailbox)
+            if self.view is None:
+                raise SessionAborted("cannot re-open selected mailbox after STATUS")
+            self._reconcile_view(old_view, self.view)
         elif tagged is None or tagged.status == "OK":
             # Return the upstream to an unselected state; a failed
             # inspection may have left the target open. CLOSE after
             # EXAMINE expunges nothing.
             tag = self.upstream.next_tag()
             self._subuser_exchange(f"{tag} CLOSE\r\n".encode("ascii"), tag)
-        return result
+        return counts
 
-    def _reconcile_view(self, old_view: ViewMap, uidvalidity: int, decisions) -> None:
-        """Replace the session view with freshly fetched state, announcing
-        the difference (expunges of vanished messages, then a new EXISTS)
-        so the client's model stays consistent."""
-        if uidvalidity != old_view.uidvalidity:
+    def _reconcile_view(self, old_view: ViewMap, new_view: ViewMap) -> None:
+        """Announce how *new_view* differs from *old_view*, the view the
+        client knows: expunges of vanished messages, then a new EXISTS, so
+        the client's model stays consistent."""
+        if new_view.uidvalidity != old_view.uidvalidity:
             raise SessionAborted("UIDVALIDITY changed mid-session")
-        new_view = ViewMap(
-            [(seq, uid, decision) for seq, uid, decision, _ in decisions], uidvalidity
-        )
         new_uids = new_view.visible_uid_set()
         vanished = [
             virtual
@@ -978,7 +976,6 @@ class ClientSession:
             self._send(b"* %d EXPUNGE\r\n" % virtual)
         if new_view.exists() != old_view.exists() - len(vanished):
             self._send(b"* %d EXISTS\r\n" % new_view.exists())
-        self.view = new_view
 
     def _subuser_fetch(self, cmd: Command) -> None:
         if self.view is None:

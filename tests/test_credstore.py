@@ -203,12 +203,19 @@ def test_reload_roundtrip(tmp_path, account, cs):
     policy = PolicySet(sender_constraints=(SenderConstraint(SenderMode.BLACKLIST, "exes"),))
     cs.add_subuser("person@gmail.com", "spouse", "catsanddogs", policy)
 
-    reloaded = CredStore(cs.path)
-    again = reloaded.get_account("person@gmail.com")
-    assert again.subuser("spouse").policy == policy
-    assert again.list_members() == {"exes": frozenset({"ex@gmail.com"})}
-    assert reloaded.authenticate("person@gmail.com", "catsanddogs") == SubUser("spouse")
-    assert open_sealed(again.upstream.sealed_password, MASTER_KEY) == b"upstream-pw-123"
+    # older v1 files also stored an always-true "readonly" per sub-user
+    payload = json.loads(open(cs.path).read())
+    payload["accounts"][0]["subusers"][0]["readonly"] = True
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(payload))
+
+    for path in (cs.path, str(older)):
+        reloaded = CredStore(path)
+        again = reloaded.get_account("person@gmail.com")
+        assert again.subuser("spouse").policy == policy
+        assert again.list_members() == {"exes": frozenset({"ex@gmail.com"})}
+        assert reloaded.authenticate("person@gmail.com", "catsanddogs") == SubUser("spouse")
+        assert open_sealed(again.upstream.sealed_password, MASTER_KEY) == b"upstream-pw-123"
 
 
 def test_store_file_has_no_plaintext_secrets(cs, account):

@@ -734,7 +734,8 @@ def test_status_while_same_mailbox_selected(spouse_session, mock6):
         b"* STATUS INBOX (MESSAGES 4)\r\n",
         b"t3 OK STATUS completed\r\n",
     ]
-    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH"]
+    # inspect the mailbox, then re-open it
+    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH", "EXAMINE", "FETCH"]
     # the selection survived the detour
     out = spouse_session.cmd(b"t4 FETCH 4 (UID)\r\n")
     assert out[0] == b"* 4 FETCH (UID 60)\r\n"
@@ -887,7 +888,9 @@ def test_unchanged_mailbox_is_not_evaluated_again(
     out = spouse_session.cmd(b"t4 STATUS INBOX (MESSAGES UNSEEN)\r\n")
     assert out[0] == b"* STATUS INBOX (MESSAGES %d UNSEEN %d)\r\n" % (exists, unseen)
     assert _metadata_fetches(mock6) == []
-    assert mock6.received_verbs() == ["EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH"]
+    assert mock6.received_verbs() == [
+        "EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH", "EXAMINE", "FETCH"
+    ]
 
 
 def test_blacklisting_a_visible_sender_hides_it_at_reselect(spouse_session, store6):
@@ -963,9 +966,9 @@ def _scripted_mailbox(box):
     """Script for a ScriptedUpstream serving box["exists"] messages with
     UIDs 10, 20, ...; those whose seq is in box.get("hidden", ()) are from
     a blacklisted sender. FETCH and UID FETCH answer every message in the
-    set, hidden or not; NOOP answers box.get("noop", b"") first. With
-    box["lie"] set, the header FETCH reports each UID one higher than the
-    (UID FLAGS) FETCH."""
+    set, hidden or not; NOOP answers box.get("noop", b"") first, and SEARCH
+    every seq. With box["lie"] set, the header FETCH reports each UID one
+    higher than the (UID FLAGS) FETCH."""
 
     def script(line, send):
         words = line.split()
@@ -974,6 +977,9 @@ def _scripted_mailbox(box):
             send(b"* %d EXISTS\r\n* OK [UIDVALIDITY 9] UIDs valid\r\n" % box["exists"])
         elif verb == b"NOOP":
             send(box.get("noop", b""))
+        elif verb == b"SEARCH":
+            seqs = b"".join(b" %d" % seq for seq in range(1, box["exists"] + 1))
+            send(b"* SEARCH" + seqs + b"\r\n")
         elif verb in (b"FETCH", b"UID"):
             with_header = b"HEADER.FIELDS" in line
             exists = box["exists"]
@@ -1048,6 +1054,72 @@ def test_uid_desync_between_fetches_fails_select_and_caches_nothing(scripted_ses
     ]
 
 
+def test_exists_during_the_select_fetch_is_decided(scripted_session):
+    box = {"exists": 3, "lie": False, "hidden": {2}}
+    mailbox_script = _scripted_mailbox(box)
+
+    def script(line, send):
+        if b"HEADER.FIELDS" in line and box["exists"] == 3:
+            box["exists"] = 4
+            send(b"* 4 EXISTS\r\n")
+        mailbox_script(line, send)
+
+    client, upstream = scripted_session(script, SPOUSE_PASSWORD)
+    # one count, taken after the arrival is decided
+    assert client.cmd(b"t1 SELECT INBOX\r\n") == [
+        b"* 3 EXISTS\r\n",
+        b"* 0 RECENT\r\n",
+        b"* OK [UIDVALIDITY 9] UIDs valid\r\n",
+        b"t1 OK [READ-ONLY] SELECT completed\r\n",
+    ]
+    assert client.cmd(b"t2 SEARCH ALL\r\n") == [b"* SEARCH 1 2 3\r\n", b"t2 OK SEARCH completed\r\n"]
+    header_fetches = [line.split(b" (", 1)[0] for line in upstream.lines if b"HEADER.FIELDS" in line]
+    assert [line.split(b" ", 1)[1] for line in header_fetches] == [b"FETCH 1:3", b"FETCH 4"]
+
+
+def test_exists_during_the_restore_after_status_is_announced(scripted_session):
+    box = {"exists": 3, "lie": False}
+    mailbox_script = _scripted_mailbox(box)
+    examined = []
+
+    def script(line, send):
+        words = line.split()
+        if words[1] == b"EXAMINE":
+            examined.append(words[2])
+        elif examined == [b"INBOX", b"Other", b"INBOX"] and box["exists"] == 3:
+            box["exists"] = 4  # inside the FETCH that re-opens INBOX
+            send(b"* 4 EXISTS\r\n")
+        mailbox_script(line, send)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    assert client.cmd(b"t2 STATUS Other (MESSAGES)\r\n") == [
+        b"* 4 EXISTS\r\n",
+        b"* STATUS Other (MESSAGES 3)\r\n",
+        b"t2 OK STATUS completed\r\n",
+    ]
+    assert client.cmd(b"t3 SEARCH ALL\r\n") == [
+        b"* SEARCH 1 2 3 4\r\n",
+        b"t3 OK SEARCH completed\r\n",
+    ]
+
+
+def test_expunge_during_the_select_fetch_fails_the_select(scripted_session):
+    box = {"exists": 3, "lie": False, "expunge": True}
+    mailbox_script = _scripted_mailbox(box)
+
+    def script(line, send):
+        if b"HEADER.FIELDS" in line and box.pop("expunge", False):
+            send(b"* 1 EXPUNGE\r\n")  # RFC 3501 §7.4.1 forbids this during a FETCH
+        mailbox_script(line, send)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    out = client.cmd(b"t1 SELECT INBOX\r\n")
+    assert out == [b"t1 NO cannot open mailbox with filtering guaranteed\r\n"]
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+    assert client.cmd(b"t3 SEARCH ALL\r\n")[0] == b"* SEARCH 1 2 3\r\n"
+
+
 def test_select_logs_cache_counts_only(spouse_session, caplog):
     with caplog.at_level(logging.INFO, logger="chamail.proxy"):
         spouse_session.cmd(b"t2 SELECT INBOX\r\n")
@@ -1056,6 +1128,7 @@ def test_select_logs_cache_counts_only(spouse_session, caplog):
     lines = [r.getMessage() for r in caplog.records if "policy decisions" in r.getMessage()]
     assert [line.rsplit(": ", 1)[1] for line in lines] == [
         "0 cached, 6 evaluated",
+        "6 cached, 0 evaluated",
         "6 cached, 0 evaluated",
         "6 cached, 0 evaluated",
     ]
