@@ -13,6 +13,7 @@ The cache belongs to one ProxyServer; its sessions share it.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import OrderedDict
 from typing import Iterable, Mapping, AbstractSet
 
@@ -20,6 +21,7 @@ from .policy import Decision, PolicySet
 
 # Total UIDs held over all keys. Each costs a dict slot and an int, 65 to
 # 100 bytes, so the cache stays under about 20 MB whatever the mailbox sizes.
+# A key's layout adds 4 bytes per message, which this count leaves out.
 CAP_UIDS = 200_000
 
 
@@ -46,6 +48,10 @@ def decision_key(
 class DecisionCache:
     """Bounded LRU of key -> {uid: Decision}, sized in UIDs over all keys.
 
+    Each key may also hold its mailbox's layout: the UIDs of seqs 1..E as
+    the server last listed them all. It lives and dies with the key's
+    decisions.
+
     Eviction drops whole least-recently-used keys until the total is at
     most CAP_UIDS; a key that alone exceeds it is not kept.
     """
@@ -53,6 +59,7 @@ class DecisionCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, dict[int, Decision]] = OrderedDict()
+        self._layouts: dict[tuple, array] = {}
         self._size = 0
 
     def __contains__(self, key: tuple) -> bool:
@@ -67,6 +74,12 @@ class DecisionCache:
                 return [None for _ in uids]
             self._entries.move_to_end(key)
             return [entry.get(uid) for uid in uids]
+
+    def layout(self, key: tuple) -> array | None:
+        """The UIDs of seqs 1..E stored with *key*'s decisions, if any.
+        The array is never changed in place; store replaces it."""
+        with self._lock:
+            return self._layouts.get(key)
 
     def forget_expunged(self, key: tuple, live: Iterable[int]) -> None:
         """*live* holds every UID the mailbox under *key* has: drop the
@@ -84,7 +97,11 @@ class DecisionCache:
                 del entry[uid]
             self._size -= len(dead)
 
-    def store(self, key: tuple, decisions: Mapping[int, Decision]) -> None:
+    def store(
+        self, key: tuple, decisions: Mapping[int, Decision], layout: array | None = None
+    ) -> None:
+        """Add *decisions* under *key*; a *layout*, the UIDs of seqs 1..E
+        as the server just listed them all, replaces the key's layout."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -94,6 +111,9 @@ class DecisionCache:
             before = len(entry)
             entry.update(decisions)
             self._size += len(entry) - before
+            if layout is not None:
+                self._layouts[key] = layout
             while self._size > CAP_UIDS:
-                _key, dropped = self._entries.popitem(last=False)
+                dropped_key, dropped = self._entries.popitem(last=False)
+                self._layouts.pop(dropped_key, None)
                 self._size -= len(dropped)

@@ -14,11 +14,13 @@ constraint: when in doubt, hide.
 
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass, field
 from email import message_from_bytes
 from email.utils import getaddresses
 from enum import Enum
+from itertools import groupby
 from typing import Iterable, Mapping, AbstractSet
 
 from . import addr
@@ -131,12 +133,16 @@ class MessageMeta:
 
     *has_text_part* records whether the extracted bytes held a text/plain
     part at all, so a caller can tell an empty excerpt from a missing one.
+    *subject_decoded* is False when an RFC 2047 encoded word in the subject
+    names an unknown charset or holds bad base64; the subject is then kept
+    as it came.
     """
 
     sender: str | _Unparseable
     subject: str = ""
     body_excerpt: str = ""
     has_text_part: bool = False
+    subject_decoded: bool = True
 
 
 Lists = Mapping[str, AbstractSet[str]]
@@ -269,6 +275,62 @@ def _scan_header(raw: bytes) -> tuple[list[str], str, str | None, bool]:
     )
 
 
+# An RFC 2047 encoded word. Its encoded text holds no "?" (§2), which also
+# keeps the search linear in the subject's length.
+_ENCODED_WORD_RE = re.compile(r"=\?([^?]*?)\?([qQbB])\?([^?]*)\?=")
+_Q_ESCAPE_RE = re.compile(rb"=([0-9A-Fa-f]{2})")
+
+
+def _decode_word(encoding: str, text: str) -> bytes:
+    """The bytes of one encoded word's text (RFC 2047 §4); raises
+    binascii.Error on bad base64."""
+    raw = text.encode("utf-8")
+    if encoding in "qQ":
+        return _Q_ESCAPE_RE.sub(lambda m: bytes.fromhex(m[1].decode()), raw.replace(b"_", b" "))
+    return binascii.a2b_base64(raw + b"=" * (-len(raw) % 4))  # padding may be left out
+
+
+def _decode_subject(subject: str) -> tuple[str, bool]:
+    """*subject* with its encoded words decoded, split and joined as
+    email.header.decode_header does: per line, the first piece of text
+    left-stripped; white space between two encoded words dropped (§6.2);
+    adjacent words in one charset decoded as one run, with replacement.
+    Returns the subject unchanged and False when a word names an unknown
+    charset or holds bad base64."""
+    if not _ENCODED_WORD_RE.search(subject):
+        return subject, True
+    words: list[tuple[str | bytes, str | None]] = []  # (text, None) or (bytes, charset)
+    try:
+        for line in subject.splitlines():
+            parts = _ENCODED_WORD_RE.split(line)
+            parts[0] = parts[0].lstrip()
+            for i in range(0, len(parts), 4):
+                if parts[i]:
+                    words.append((parts[i], None))
+                if i + 1 < len(parts):
+                    charset, encoding, text = parts[i + 1 : i + 4]
+                    words.append((_decode_word(encoding, text), charset.lower()))
+        kept = [
+            word
+            for n, word in enumerate(words)
+            if not (
+                word[1] is None
+                and word[0].isspace()
+                and 0 < n < len(words) - 1
+                and words[n - 1][1] is not None
+                and words[n + 1][1] is not None
+            )
+        ]
+        decoded = [
+            " ".join(w for w, _ in run) if charset is None
+            else b"".join(w for w, _ in run).decode(charset, "replace")
+            for charset, run in groupby(kept, key=lambda word: word[1])
+        ]
+    except (LookupError, ValueError):  # bad base64 (binascii.Error), a bad charset name
+        return subject, False
+    return "".join(decoded), True
+
+
 def _first_from_addr(values: list[str]) -> str | _Unparseable:
     for _display, address in getaddresses(values):
         if addr.is_addr_spec(address):
@@ -304,7 +366,7 @@ def _body_excerpt(msg) -> str | None:
         charset = part.get_content_charset() or "utf-8"
         try:
             return payload.decode(charset, "replace")
-        except (LookupError, UnicodeError):  # unknown, or refuses "replace" (idna)
+        except (LookupError, ValueError):  # unknown, refuses "replace" (idna), or holds a NUL
             return payload.decode("utf-8", "replace")
     return None
 
@@ -315,12 +377,15 @@ def extract_meta(raw_message: bytes) -> MessageMeta:
     Total: header violations degrade to empty fields or an UNPARSEABLE
     sender rather than raising. Header bytes are read as UTF-8 with
     replacement (RFC 6532), so a UTF-8 subject is matched as text and an
-    8-bit addr-spec is UNPARSEABLE; RFC 2047 encoded words are left as-is.
-    The header block is read by a scanner; the email parser runs only when
-    a body follows it, for the excerpt, whose transfer decoding covers
-    base64 and quoted-printable.
+    8-bit addr-spec is UNPARSEABLE. The subject's RFC 2047 encoded words
+    (B and Q) are decoded with replacement, as a mail client shows them;
+    one that cannot be decoded leaves the subject as it came and clears
+    *subject_decoded*. The header block is read by a scanner; the email
+    parser runs only when a body follows it, for the excerpt, whose
+    transfer decoding covers base64 and quoted-printable.
     """
     froms, subject, content_type, body_follows = _scan_header(raw_message)
+    subject, subject_decoded = _decode_subject(subject)
     if body_follows:
         excerpt = _body_excerpt(message_from_bytes(raw_message))
     else:
@@ -330,4 +395,5 @@ def extract_meta(raw_message: bytes) -> MessageMeta:
         subject=subject,
         body_excerpt=excerpt or "",
         has_text_part=excerpt is not None,
+        subject_decoded=subject_decoded,
     )

@@ -20,24 +20,21 @@ from __future__ import annotations
 import base64
 import contextlib
 import io
-import json
 import logging
 import re
 import socket
 import ssl
 import threading
 import traceback
-from dataclasses import dataclass, field
-from pathlib import Path
-
+from array import array
 from . import imapcodec, store
+from .config import ProxyConfig, UpstreamOverride, load_config  # noqa: F401 (re-exported)
 from .credstore import CredStore
 from .decisions import DecisionCache, decision_key
 from .errors import (
     AuthFailed,
     ChamailError,
     ClientGone,
-    ConfigError,
     ImapSyntaxError,
     LineTooLong,
     LiteralTooLarge,
@@ -89,64 +86,6 @@ _TAGGED_STATUS_RE = re.compile(rb"^([^ ]+) (OK|NO|BAD)(?: |\r\n)")
 AUTH_FAILED_TEXT = "LOGIN failed"
 UPSTREAM_FAILED_TEXT = "upstream unavailable"
 PERMISSION_DENIED_TEXT = "Permission denied"
-
-
-# -- configuration ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UpstreamOverride:
-    host: str
-    port: int
-    use_tls: bool = False
-
-
-@dataclass(frozen=True)
-class ProxyConfig:
-    store_path: str
-    listen_host: str = "127.0.0.1"
-    listen_port: int = 1143
-    tls_certfile: str | None = None
-    tls_keyfile: str | None = None
-    upstream_overrides: dict[str, UpstreamOverride] = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, obj) -> "ProxyConfig":
-        if not isinstance(obj, dict):
-            raise ConfigError("config root must be an object")
-        try:
-            store_path = obj["store"]
-            listen = obj.get("listen", {})
-            host = listen.get("host", "127.0.0.1")
-            port = int(listen.get("port", 1143))
-            tls = obj.get("tls")
-            certfile = keyfile = None
-            if tls is not None:
-                certfile = tls["certfile"]
-                keyfile = tls["keyfile"]
-            overrides = {}
-            for email_key, ov in obj.get("upstream_overrides", {}).items():
-                overrides[email_key.lower()] = UpstreamOverride(
-                    ov["host"], int(ov["port"]), bool(ov.get("use_tls", False))
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        if not isinstance(store_path, str):
-            raise ConfigError("store path must be a string")
-        if not 1 <= port <= 65535:
-            raise ConfigError(f"listen port {port} out of range")
-        return cls(store_path, host, port, certfile, keyfile, overrides)
-
-
-def load_config(path: str | Path) -> ProxyConfig:
-    try:
-        with open(path, "rb") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return ProxyConfig.from_json(obj)
 
 
 # -- upstream connection --------------------------------------------------------
@@ -632,7 +571,7 @@ class ClientSession:
         while view is not None and (arrivals := view.undecided()):
             assert self.selected_mailbox is not None
             key = self._decision_key(self.selected_mailbox, view.uidvalidity)
-            rows, _flags = self._fetch_decisions(arrivals[0], arrivals[-1], key)
+            rows = self._fetch_decisions(arrivals[0], arrivals[-1], key)
             announced = view.extend_on_new(rows)
             if announce and announced is not None:
                 self._send(b"* %d EXISTS\r\n" % announced)
@@ -652,70 +591,80 @@ class ClientSession:
 
     def _fetch_decisions(
         self, first: int, last: int, key: tuple
-    ) -> tuple[list[tuple[int, int, Decision]], dict[int, frozenset]]:
-        """Evaluate policy over upstream seqs first..last.
+    ) -> list[tuple[int, int, Decision]]:
+        """Evaluate policy over upstream seqs first..last; returns
+        (upstream_seq, uid, decision) rows.
 
-        Returns (upstream_seq, uid, decision) rows and each seq's flags.
         Decisions the server holds under *key* are reused: a first FETCH
-        learns the UIDs and flags, and only the misses are fetched again,
-        with every metadata item the policy reads in one FETCH, and decided
-        row by row. Any gap, parse failure or UID mismatch fails the whole
+        learns the UIDs, and only the misses are fetched again, with every
+        metadata item the policy reads in one FETCH, and decided row by row.
+        A call from seq 1 learns every live UID (callers ask up to the last
+        EXISTS), and they become the key's layout. With a layout L cached,
+        such a call learns seqs len(L)..last first: if seq len(L) still has
+        UID L[-1], seqs 1..len(L) are L, because UIDs ascend and are never
+        reused under one UIDVALIDITY (RFC 3501 §2.3.1.1); if not, it learns
+        the rest too. Any gap, parse failure or UID mismatch fails the whole
         operation and caches nothing — a sub-user never sees an unfiltered
         or half-filtered mailbox.
         """
         cache = self.server.decisions
-        seqs = list(range(first, last + 1))
-        uids: dict[int, int] = {}
-        flags: dict[int, frozenset] = {}
-        decided: dict[int, Decision] = {}
-        if key in cache:
-            # With nothing cached under the key every UID would miss; the
-            # misses' FETCH below then learns the UIDs itself.
-            def learn(seq: int, attrs: dict) -> None:
-                uids[seq], flags[seq] = _uid_and_flags(seq, attrs)
+        seqs = range(first, last + 1)
+        uids = [0] * len(seqs)  # uids[seq - first]; 0 while unknown
 
-            self._fetch_rows(seqs, "UID FLAGS", learn)
-            cached = cache.lookup(key, [uids[seq] for seq in seqs])
-            if first == 1:  # callers ask up to the last EXISTS: every live UID
-                cache.forget_expunged(key, uids.values())
-            decided = {seq: hit for seq, hit in zip(seqs, cached) if hit is not None}
-        misses = [seq for seq in seqs if seq not in decided]
+        def learn(seq: int, attrs: dict) -> None:
+            uids[seq - first] = _uid(seq, attrs)
+
+        # With nothing cached under the key every UID would miss; the
+        # misses' FETCH below then learns the UIDs itself.
+        decisions: list[Decision | None] = [None] * len(seqs)
+        if key in cache:
+            layout = cache.layout(key) if first == 1 else None
+            held = False  # seqs 1..len(layout) are the layout
+            if layout and len(layout) <= last:
+                self._fetch_rows(range(len(layout), last + 1), "UID", learn)
+                held = uids[len(layout) - 1] == layout[-1]
+                if held:
+                    uids[: len(layout) - 1] = layout[:-1]
+                else:
+                    self._fetch_rows(range(1, len(layout)), "UID", learn)
+            else:
+                self._fetch_rows(seqs, "UID", learn)
+            decisions = cache.lookup(key, uids)
+            if first == 1 and not held:
+                cache.forget_expunged(key, uids)
+        misses = [seq for seq, hit in zip(seqs, decisions) if hit is None]
         if misses:
             policy, lists = self.active_policy, self.active_lists
             assert policy is not None and lists is not None
-            items = f"UID FLAGS BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]"
+            items = f"UID BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]"
             if policy.has_keyword_constraints:
                 items += f" BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>"
 
             def judge(seq: int, attrs: dict) -> None:
-                uid, flags[seq] = _uid_and_flags(seq, attrs)
-                if uids.setdefault(seq, uid) != uid:
+                uid = _uid(seq, attrs)
+                if uids[seq - first] not in (0, uid):
                     raise SessionAborted(f"metadata fetch desync: seq {seq} changed UID")
+                uids[seq - first] = uid
                 header = _section(attrs, "BODY[HEADER.FIELDS", seq)
                 body = _section(attrs, "BODY[TEXT]", seq) if policy.has_keyword_constraints else b""
-                decided[seq] = decide(policy, lists, self.principal, header, body)[0]
+                decisions[seq - first] = decide(policy, lists, self.principal, header, body)[0]
 
             self._fetch_rows(misses, items, judge)
-            cache.store(key, {uids[seq]: decided[seq] for seq in misses})
+        if misses or first == 1:
+            new = {uids[seq - first]: decisions[seq - first] for seq in misses}
+            cache.store(key, new, array("I", uids) if first == 1 else None)
         hits = len(seqs) - len(misses)
         log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
-        return [(seq, uids[seq], decided[seq]) for seq in seqs], flags
+        return list(zip(seqs, uids, decisions))
 
-    def _fetch_rows(self, seqs: list[int], items: str, on_row) -> None:
-        """FETCH *items* for upstream *seqs* by sequence number, handing
-        each row's parsed attributes to *on_row(seq, attrs)* as it arrives.
-        A refused FETCH, a missing seq, bad attributes, a failure in
-        *on_row* or an EXPUNGE, which RFC 3501 §7.4.1 forbids meanwhile,
-        abort."""
-        assert self.upstream is not None
-        tag = self.upstream.next_tag()
-        seq_set = SequenceSet.from_numbers(seqs).render()
-        request = f"{tag} FETCH {seq_set} ({items})\r\n".encode("ascii")
+    def _fetch_rows(self, seqs, items: str, on_row) -> None:
+        """FETCH *items* for upstream *seqs* (none: no FETCH) by sequence
+        number, handing each row's parsed attributes to *on_row(seq,
+        attrs)* as it arrives. A missing seq, bad attributes or a failure
+        in *on_row* abort, and so does what _own_command refuses."""
         pending = set(seqs)
 
         def row(resp) -> bool:
-            if isinstance(resp, ExpungeEvent):
-                raise SessionAborted("EXPUNGE during a metadata FETCH")
             if not isinstance(resp, FetchData):
                 return False
             if resp.seq in pending:
@@ -723,11 +672,33 @@ class ClientSession:
                 on_row(resp.seq, dict(parse_fetch_attrs(resp.attrs)))
             return True
 
-        tagged = self._subuser_exchange(request, tag, row)
-        if tagged.status != "OK":
-            raise SessionAborted(f"metadata fetch failed: {tagged.status} {tagged.text}")
+        if seqs:
+            self._own_command(f"FETCH {SequenceSet.from_numbers(seqs).render()} ({items})", row)
         if pending:
             raise SessionAborted(f"metadata fetch missing seq {min(pending)}")
+
+    def _own_command(self, command: str, on_data=None) -> list[int]:
+        """Run the proxy's own *command*, a FETCH or SEARCH, handing each
+        reply to *on_data* as _subuser_exchange does; returns the SEARCH
+        hits. A refusal aborts, and so does an EXPUNGE, which RFC 3501
+        §7.4.1 forbids meanwhile: it would shift the seqs the replies name."""
+        assert self.upstream is not None
+        tag = self.upstream.next_tag()
+        verb = command.split(" ", 1)[0]
+        hits: list[int] = []
+
+        def handle(resp) -> bool:
+            if isinstance(resp, ExpungeEvent):
+                raise SessionAborted(f"EXPUNGE during the proxy's {verb}")
+            if isinstance(resp, SearchData):
+                hits.extend(resp.numbers)
+                return True
+            return on_data is not None and on_data(resp)
+
+        tagged = self._subuser_exchange(f"{tag} {command}\r\n".encode("ascii"), tag, handle)
+        if tagged.status != "OK":
+            raise SessionAborted(f"proxy's {verb} failed: {tagged.status} {tagged.text}")
+        return hits
 
     # -- sub-user commands ---------------------------------------------------------
 
@@ -896,7 +867,7 @@ class ClientSession:
             "UIDVALIDITY": passthrough.get("UIDVALIDITY", 0),
         }
         if "MESSAGES" in requested or "UNSEEN" in requested:
-            counts = self._count_visible(cmd.mailbox)
+            counts = self._count_visible(cmd.mailbox, "UNSEEN" in requested)
             if counts is None:
                 self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
                 return
@@ -911,16 +882,18 @@ class ClientSession:
         )
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
-    def _count_visible(self, target: str) -> tuple[int, int] | None:
+    def _count_visible(self, target: str, unseen: bool) -> tuple[int, int] | None:
         """Policy-evaluate *target* over the main upstream connection.
 
         The upstream holds one selection per connection, so this EXAMINEs
         the target in place and afterwards puts the session's selection
         back: it re-opens the mailbox the session had selected and
         announces what changed, or CLOSEs when none was. Returns the
-        target's visible and visible-unseen message counts, or None if the
-        target cannot be inspected; the session goes on either way. Raises
-        SessionAborted only when the selected mailbox cannot be restored.
+        target's visible message count and, when *unseen* asks for it, how
+        many of those a `SEARCH UNSEEN` in the target hits (else 0); None
+        if the target cannot be inspected. The session goes on either way.
+        Raises SessionAborted only when the selected mailbox cannot be
+        restored.
         """
         assert self.upstream is not None
         if self.active_policy is None or self.active_lists is None:
@@ -940,9 +913,10 @@ class ClientSession:
             if tagged.status == "OK":
                 exists = collected["exists"]
                 key = self._decision_key(target, collected["uidvalidity"])
-                rows, flags = self._fetch_decisions(1, exists, key) if exists else ([], {})
-                visible = [seq for seq, _uid, decision in rows if decision is Decision.VISIBLE]
-                counts = len(visible), sum("\\Seen" not in flags[seq] for seq in visible)
+                rows = self._fetch_decisions(1, exists, key) if exists else []
+                visible = {seq for seq, _uid, decision in rows if decision is Decision.VISIBLE}
+                hits = self._own_command("SEARCH UNSEEN") if unseen and visible else []
+                counts = len(visible), len(visible.intersection(hits))
         except SessionAborted as exc:
             log.warning("STATUS inspection of %r failed: %s", target, exc)
 
@@ -1077,7 +1051,8 @@ def decide(
     BODY_EXCERPT_CAP bytes of its body, CRLF-ended as an IMAP server serves
     them; the proxy and `chamail dryrun` both decide here. The body is read
     only past the sender rules, and a FORBID rule cannot clear a body cut
-    off before any text/plain part. Returns the decision and its metadata.
+    off before any text/plain part, nor a subject it cannot decode.
+    Returns the decision and its metadata.
     The policy functions are called as this module's globals, where
     perfbench/tracing.py times them.
     """
@@ -1087,17 +1062,16 @@ def decide(
     if policy.has_keyword_constraints:
         meta = extract_meta(header + body)
         cut = len(body) >= BODY_EXCERPT_CAP and not meta.has_text_part
-        if cut and policy.has_forbid_constraints:
+        if (cut or not meta.subject_decoded) and policy.has_forbid_constraints:
             return Decision.HIDDEN, meta
     return evaluate(policy, meta, lists, principal), meta
 
 
-def _uid_and_flags(seq: int, attrs: dict) -> tuple[int, frozenset]:
+def _uid(seq: int, attrs: dict) -> int:
     uid = attrs.get("UID")
-    flags_raw = attrs.get("FLAGS", b"()")
-    if not isinstance(uid, int) or not isinstance(flags_raw, bytes):
+    if not isinstance(uid, int) or not 0 < uid < 2**32:  # RFC 3501 nz-number
         raise SessionAborted(f"malformed metadata for seq {seq}")
-    return uid, frozenset(f.decode("ascii", "replace") for f in flags_raw.strip(b"()").split())
+    return uid
 
 
 def _section(attrs: dict, prefix: str, seq: int) -> bytes:

@@ -3,6 +3,8 @@ and metadata extraction through the stdlib email parser."""
 
 import re
 from email import message_from_bytes
+from email.errors import HeaderParseError
+from email.header import decode_header
 from email.utils import getaddresses
 
 from chamail import addr
@@ -99,16 +101,33 @@ def _body_excerpt(msg) -> str | None:
     return None
 
 
+def reference_decode_subject(subject: str) -> tuple[str, bool]:
+    """The subject's RFC 2047 encoded words decoded by the stdlib; the
+    subject unchanged and False when one cannot be decoded."""
+    try:
+        text = "".join(
+            chunk if isinstance(chunk, str)  # no encoded word at all
+            else chunk.decode("raw-unicode-escape" if charset is None else charset, "replace")
+            for chunk, charset in decode_header(subject)
+        )
+    except (HeaderParseError, LookupError, ValueError):
+        return subject, False
+    return text, True
+
+
 def reference_extract_meta(raw_message: bytes) -> MessageMeta:
     """extract_meta as it was before the header scanner: the whole blob
-    through the stdlib email parser. It raises TypeError on a raw 8-bit
-    From or Subject, so compare only where it returns."""
+    through the stdlib email parser, and the subject through its RFC 2047
+    decoder. It raises TypeError on a raw 8-bit From or Subject, so compare
+    only where it returns."""
     msg = message_from_bytes(raw_message)
     subject = msg.get("Subject")
+    subject, decoded = reference_decode_subject(_unfold(subject) if subject is not None else "")
     excerpt = _body_excerpt(msg)
     return MessageMeta(
         sender=_first_from_addr(msg),
-        subject=_unfold(subject) if subject is not None else "",
+        subject=subject,
         body_excerpt=excerpt or "",
         has_text_part=excerpt is not None,
+        subject_decoded=decoded,
     )

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from array import array
 
 from chamail import decisions
 from chamail.decisions import DecisionCache, decision_key
@@ -93,6 +94,37 @@ def test_a_key_larger_than_the_cap_is_not_kept(monkeypatch):
     assert cache._size == 0
 
 
+def test_a_layout_is_kept_with_its_entry_and_evicted_with_it(monkeypatch):
+    monkeypatch.setattr(decisions, "CAP_UIDS", 4)
+    cache = DecisionCache()
+    assert cache.layout(key("A")) is None
+    cache.store(key("A"), {10: V, 20: H}, array("I", [10, 20]))
+    assert cache.layout(key("A")) == array("I", [10, 20])
+    cache.store(key("A"), {30: V})  # decisions alone leave the layout as it was
+    assert cache.layout(key("A")) == array("I", [10, 20])
+    cache.store(key("A"), {}, array("I", [20, 30]))
+    assert cache.layout(key("A")) == array("I", [20, 30])
+    cache.store(key("B"), {1: V, 2: H})  # A is the least recently used
+    assert key("A") not in cache and cache.layout(key("A")) is None
+    assert cache._layouts == {}
+
+
+def test_no_layout_is_kept_for_a_key_larger_than_the_cap(monkeypatch):
+    monkeypatch.setattr(decisions, "CAP_UIDS", 5)
+    cache = DecisionCache()
+    cache.store(key("B"), dict.fromkeys(range(1, 7), V), array("I", range(1, 7)))
+    assert key("B") not in cache and cache.layout(key("B")) is None
+    assert cache._layouts == {} and cache._size == 0
+
+
+def test_forgetting_expunged_uids_leaves_the_layout_alone():
+    cache = DecisionCache()
+    cache.store(key(), {10: V, 20: H, 30: V}, array("I", [10, 20, 30]))
+    cache.forget_expunged(key(), [10, 30])
+    assert cache.lookup(key(), [10, 20, 30]) == [V, None, V]
+    assert cache.layout(key()) == array("I", [10, 20, 30])
+
+
 def test_forgetting_expunged_uids_keeps_later_arrivals_and_the_count():
     cache = DecisionCache()
     cache.store(key(), {10: V, 20: H, 30: V, 40: H, 50: V, 60: H})
@@ -124,7 +156,8 @@ def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
                 for uid, hit in zip(uids, cache.lookup(k, uids)):
                     if hit not in (None, decision_of(uid)):
                         errors.append((k, uid, hit))
-                cache.store(k, {uid: decision_of(uid) for uid in uids})
+                layout = array("I", sorted(uids)) if rng.random() < 0.3 else None
+                cache.store(k, {uid: decision_of(uid) for uid in uids}, layout)
                 if rng.random() < 0.2:
                     cache.forget_expunged(k, rng.sample(range(40), rng.randint(1, 30)))
         except Exception as exc:  # surfaced by the assertion below
@@ -143,3 +176,4 @@ def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert cache._size == sum(len(entry) for entry in cache._entries.values()) <= 50
+    assert set(cache._layouts) <= set(cache._entries)

@@ -1,5 +1,7 @@
 """Policy engine: evaluation semantics, metadata extraction, validation."""
 
+import base64
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_policy import reference_evaluate, reference_extract_meta
@@ -284,7 +286,8 @@ def test_extract_caps_body_excerpt():
 
 def test_extract_never_raises_on_junk():
     idna = b"Content-Type: text/plain; charset=idna\r\n\r\n\xff\r\n"
-    for raw in (b"", b"\x00\xff\xfe", b"no headers at all", b"From: \r\n\r\n", idna):
+    nul = b'Content-Type: text/plain; charset="a\x00b"\r\n\r\nbody\r\n'
+    for raw in (b"", b"\x00\xff\xfe", b"no headers at all", b"From: \r\n\r\n", idna, nul):
         m = extract_meta(raw)
         assert m.sender is UNPARSEABLE or isinstance(m.sender, str)
 
@@ -295,7 +298,7 @@ def test_extract_reads_8bit_headers_as_utf8():
     invalid = extract_meta(b"From: a@b.c\r\nSubject: caf\xe9\r\n\r\n")
     assert invalid.subject == "caf\N{REPLACEMENT CHARACTER}"
     encoded = extract_meta(b"From: a@b.c\r\nSubject: =?utf-8?q?caf=C3=A9?=\r\n\r\n")
-    assert encoded.subject == "=?utf-8?q?caf=C3=A9?="  # encoded words stay as they are
+    assert encoded.subject == "café"  # RFC 2047 encoded words are decoded
 
 
 def test_extract_8bit_addr_spec_is_unparseable():
@@ -415,3 +418,63 @@ def test_extract_meta_agrees_with_the_email_parser_on_mime_trees(fields, tree):
 @given(st.binary(max_size=300))
 def test_extract_meta_is_total(raw):
     _same_meta_where_the_oracle_returns(raw)
+
+
+# -- RFC 2047 encoded words in the subject ----------------------------------------
+
+
+def _q_encoded(data: bytes) -> str:
+    return "".join(
+        "_" if b == 0x20 else chr(b) if 0x21 <= b <= 0x7E and b not in b"=?_" else f"={b:02X}"
+        for b in data
+    )
+
+
+@st.composite
+def encoded_words(draw) -> str:
+    """One RFC 2047 encoded word in some charset, B or Q, sometimes with
+    its base64 padding left out; now and then one that cannot be decoded."""
+    broken = draw(st.integers(0, 9))
+    if broken == 0:
+        return draw(st.sampled_from(
+            ["=?x-unknown?q?plans?=", "=?utf-8?b?abcde?=", "=?utf-8*en?q?hi?=", "=??q?hi?="]
+        ))
+    charset = draw(st.sampled_from(
+        ["utf-8", "UTF-8", "iso-8859-1", "ISO-8859-2", "koi8-r", "windows-1252",
+         "shift_jis", "us-ascii"]
+    ))
+    text = draw(st.text(alphabet="secret plan café ŝ ёж 日本_=?.\u00a0", max_size=12))
+    data = text.encode(charset, "replace")
+    if draw(st.booleans()):
+        return f"=?{charset}?{draw(st.sampled_from('qQ'))}?{_q_encoded(data)}?="
+    b64 = base64.b64encode(data).decode()
+    if draw(st.booleans()):
+        b64 = b64.rstrip("=")
+    return f"=?{charset}?{draw(st.sampled_from('bB'))}?{b64}?="
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(encoded_words(), st.sampled_from(["plain", "the plan", "re:", "a=b?c"])),
+        min_size=1, max_size=5,
+    ),
+    st.lists(st.sampled_from(["", " ", "  ", "\t", "\r\n ", " x "]), min_size=4, max_size=4),
+)
+def test_encoded_subjects_decode_as_the_stdlib_decodes_them(pieces, gaps):
+    subject = pieces[0] + "".join(gap + piece for gap, piece in zip(gaps, pieces[1:]))
+    raw = ("From: a@b.c\r\nSubject: " + subject + "\r\n\r\n").encode()
+    _same_meta_where_the_oracle_returns(raw)
+
+
+def test_encoded_subjects_are_matched_decoded():
+    def subject(raw: bytes):
+        m = extract_meta(b"From: a@b.c\r\nSubject: " + raw + b"\r\n\r\n")
+        return m.subject, m.subject_decoded
+
+    assert subject(b"=?utf-8?b?c2VjcmV0IHBsYW4=?=") == ("secret plan", True)
+    # adjacent words join without the white space between them (RFC 2047 §6.2)
+    assert subject(b"=?utf-8?q?sec?= \t =?utf-8?q?ret?= plan") == ("secret plan", True)
+    assert subject(b"=?utf-8?q?caf=C3?= =?UTF-8?q?=A9?=") == ("café", True)
+    assert subject(b"=?x-unknown?q?secret?=") == ("=?x-unknown?q?secret?=", False)
+    assert subject(b"=?utf-8?b?abcde?=") == ("=?utf-8?b?abcde?=", False)

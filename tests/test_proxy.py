@@ -723,7 +723,7 @@ def test_status_counts_only_visible(spouse_session, mock6):
     out = spouse_session.cmd(b"t2 STATUS INBOX (MESSAGES UNSEEN RECENT)\r\n")
     assert out[0] == b"* STATUS INBOX (MESSAGES 4 UNSEEN 3 RECENT 0)\r\n"
     # inspection runs over the one upstream connection and closes after
-    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH", "CLOSE"]
+    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH", "SEARCH", "CLOSE"]
 
 
 def test_status_while_same_mailbox_selected(spouse_session, mock6):
@@ -809,6 +809,7 @@ def test_status_of_other_mailbox_while_selected(two_box):
             "STATUS",
             "EXAMINE",
             "FETCH",
+            "SEARCH",
             "EXAMINE",
             "FETCH",
         ]
@@ -889,7 +890,7 @@ def test_unchanged_mailbox_is_not_evaluated_again(
     assert out[0] == b"* STATUS INBOX (MESSAGES %d UNSEEN %d)\r\n" % (exists, unseen)
     assert _metadata_fetches(mock6) == []
     assert mock6.received_verbs() == [
-        "EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH", "EXAMINE", "FETCH"
+        "EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH", "SEARCH", "EXAMINE", "FETCH"
     ]
 
 
@@ -964,11 +965,14 @@ def test_eviction_keeps_decisions_correct(two_box, monkeypatch):
 
 def _scripted_mailbox(box):
     """Script for a ScriptedUpstream serving box["exists"] messages with
-    UIDs 10, 20, ...; those whose seq is in box.get("hidden", ()) are from
-    a blacklisted sender. FETCH and UID FETCH answer every message in the
-    set, hidden or not; NOOP answers box.get("noop", b"") first, and SEARCH
-    every seq. With box["lie"] set, the header FETCH reports each UID one
-    higher than the (UID FLAGS) FETCH."""
+    UIDs 10, 20, ..., or box["uids"][seq] where given; those whose seq is
+    in box.get("hidden", ()) are from a blacklisted sender. FETCH and UID
+    FETCH answer every message in the set, hidden or not; NOOP answers
+    box.get("noop", b"") first, and SEARCH every seq. With box["lie"] set,
+    the header FETCH reports each UID one higher than the (UID) FETCH."""
+
+    def uid_of(seq):
+        return box.get("uids", {}).get(seq, seq * 10)
 
     def script(line, send):
         words = line.split()
@@ -985,12 +989,12 @@ def _scripted_mailbox(box):
             exists = box["exists"]
             asked = parse_sequence_set(words[3 if verb == b"UID" else 2].decode())
             if verb == b"UID":
-                uids = set(asked.expand(exists * 10))
-                seqs = [seq for seq in range(1, exists + 1) if seq * 10 in uids]
+                uids = set(asked.expand(max(map(uid_of, range(1, exists + 1)))))
+                seqs = [seq for seq in range(1, exists + 1) if uid_of(seq) in uids]
             else:
                 seqs = asked.expand(exists)
             for seq in seqs:
-                uid = seq * 10 + (1 if box["lie"] and with_header else 0)
+                uid = uid_of(seq) + (1 if box["lie"] and with_header else 0)
                 attrs = b"UID %d FLAGS ()" % uid
                 if with_header:
                     hidden = seq in box.get("hidden", ())
@@ -1314,6 +1318,19 @@ def test_8bit_headers_are_decided_and_keep_the_session(tmp_path, master_key, cap
     assert proxy_view == dryrun_view == ["HIDDEN", "HIDDEN", "VISIBLE", "HIDDEN"]
 
 
+def test_encoded_subjects_are_decided_as_clients_show_them(tmp_path, master_key, capsys):
+    messages = [
+        b"From: friend@uni.example\nSubject: =?utf-8?b?c2VjcmV0IHBsYW4=?=\n\nsee you\n",
+        b"From: friend@uni.example\nSubject: =?iso-8859-1?q?the_se?= =?iso-8859-1?q?cret?=\n\nhi\n",
+        # a subject the proxy cannot decode cannot clear a forbid rule
+        b"From: friend@uni.example\nSubject: =?x-unknown?q?plans?=\n\nhi\n",
+        b"From: friend@uni.example\nSubject: =?utf-8?b?abcde?=\n\nhi\n",
+        b"From: friend@uni.example\nSubject: =?utf-8?q?caf=C3=A9_plans?=\n\nhi\n",
+    ]
+    proxy_view, dryrun_view = _proxy_and_dryrun(tmp_path, master_key, capsys, messages)
+    assert proxy_view == dryrun_view == ["HIDDEN", "HIDDEN", "HIDDEN", "HIDDEN", "VISIBLE"]
+
+
 def test_failing_decision_fails_select_after_the_tagged_line(scripted_session, monkeypatch):
     release = threading.Event()
     mailbox_script = _scripted_mailbox({"exists": 3, "lie": False})
@@ -1378,6 +1395,107 @@ def test_reselect_forgets_the_decisions_of_expunged_messages(spouse_session, pro
     [entry] = proxy6.decisions._entries.values()
     assert sorted(entry) == [20, 40, 50, 60]
     assert proxy6.decisions._size == 4
+
+
+# -- re-open through the cached UID layout ---------------------------------------------
+
+
+def _sent(lines) -> list[bytes]:
+    """Upstream command lines without their tags, cut before any "("."""
+    return [line.split(b" ", 1)[1].split(b" (", 1)[0].rstrip() for line in lines]
+
+
+def test_unchanged_reselect_checks_one_row(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.clear_log()
+    assert b"* 4 EXISTS\r\n" in spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    assert [cmd.raw.split(b" ", 1)[1] for cmd in mock6.received] == [
+        b"EXAMINE INBOX\r\n",
+        b"FETCH 6 (UID)\r\n",
+    ]
+
+
+def test_reselect_after_arrivals_learns_and_evaluates_only_them(spouse_session, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL)
+    uid = mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL)
+    mock6.clear_log()
+    assert b"* 5 EXISTS\r\n" in spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    assert _sent(cmd.raw for cmd in mock6.received) == [
+        b"EXAMINE INBOX",
+        b"FETCH 6:8",
+        b"FETCH 7:8",
+    ]
+    assert [cmd.rest for cmd in mock6.received][1] == b"(UID)"
+    assert len(_metadata_fetches(mock6)) == 1
+    out = spouse_session.cmd(b"t4 UID SEARCH ALL\r\n")
+    assert out[0] == b"* SEARCH 10 20 40 60 %d\r\n" % uid
+
+
+def test_expunge_and_arrival_at_one_count_fall_back_to_the_full_pass(
+    spouse_session, mock6, proxy6
+):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.inject_expunge("INBOX", 20)
+    uid = mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL)
+    mock6.clear_log()
+    assert b"* 4 EXISTS\r\n" in spouse_session.cmd(b"t3 SELECT INBOX\r\n")
+    # seq 6 no longer holds UID 60: every UID is learnt, the newcomer decided
+    assert _sent(cmd.raw for cmd in mock6.received) == [
+        b"EXAMINE INBOX",
+        b"FETCH 6",
+        b"FETCH 1:5",
+        b"FETCH 6",
+    ]
+    assert len(_metadata_fetches(mock6)) == 1
+    out = spouse_session.cmd(b"t4 FETCH 1:* (UID)\r\n")
+    assert out[:-1] == [
+        b"* %d FETCH (UID %d)\r\n" % (virtual, u)
+        for virtual, u in enumerate((10, 40, 60, uid), start=1)
+    ]
+    [(key, entry)] = proxy6.decisions._entries.items()
+    assert 20 not in entry
+    assert list(proxy6.decisions.layout(key)) == [10, 30, 40, 50, 60, uid]
+
+
+def test_a_server_that_moves_the_last_uid_gets_the_full_pass(scripted_session):
+    box = {"exists": 3, "lie": False, "hidden": {2}}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    # Same count, but seq 3 now answers with a UID below the one it had,
+    # for a message from a hidden sender: no honest server does this.
+    box.update(uids={3: 25}, hidden={2, 3})
+    seen = len(upstream.lines)
+    assert b"* 1 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+    assert _sent(upstream.lines[seen:]) == [
+        b"EXAMINE INBOX",
+        b"FETCH 3",
+        b"FETCH 1:2",
+        b"FETCH 3",
+    ]
+    out = client.cmd(b"t3 FETCH 1:* (UID)\r\n")
+    assert out == [b"* 1 FETCH (UID 10 FLAGS ())\r\n", b"t3 OK FETCH completed\r\n"]
+    assert b"25" not in bytes(client.transcript)
+
+
+def test_expunge_during_the_status_search_fails_only_the_status(scripted_session):
+    box = {"exists": 3, "lie": False, "hidden": {2}}
+    mailbox_script = _scripted_mailbox(box)
+    expunged = []
+
+    def script(line, send):
+        if b"SEARCH UNSEEN" in line and not expunged:
+            expunged.append(line)
+            send(b"* 1 EXPUNGE\r\n")  # RFC 3501 §7.4.1 forbids this during a SEARCH
+        mailbox_script(line, send)
+
+    client, upstream = scripted_session(script, SPOUSE_PASSWORD)
+    out = client.cmd(b"t1 STATUS INBOX (MESSAGES UNSEEN)\r\n")
+    assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
+    assert expunged and _sent(upstream.lines[-1:]) == [b"CLOSE"]
+    out = client.cmd(b"t2 STATUS INBOX (MESSAGES UNSEEN)\r\n")
+    assert out[0] == b"* STATUS INBOX (MESSAGES 2 UNSEEN 2)\r\n"
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t3 SELECT INBOX\r\n")
 
 
 # -- the write path: one flush before each wait ------------------------------------------
