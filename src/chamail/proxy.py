@@ -55,7 +55,6 @@ from .imapcodec import (
     Recent,
     SearchData,
     SequenceSet,
-    StatusData,
     Tagged,
     UntaggedStatus,
     Verb,
@@ -713,12 +712,15 @@ class ClientSession:
         """EXAMINE *mailbox* on the main connection.
 
         Returns (tagged, collected); when the upstream said OK, collected
-        holds the EXISTS and the UIDVALIDITY.
+        holds the EXISTS and the UIDVALIDITY, and the UIDNEXT's text if the
+        server sent one.
         """
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         examine = Command(tag=tag, verb=Verb.EXAMINE, name="EXAMINE", mailbox=mailbox)
-        collected: dict = {"exists": None, "uidvalidity": None, "flags": [], "uid_codes": []}
+        collected: dict = {
+            "exists": None, "uidvalidity": None, "uidnext": None, "flags": [], "uid_codes": []
+        }
 
         def collect(resp) -> bool:
             if isinstance(resp, Exists):
@@ -726,9 +728,8 @@ class ClientSession:
             elif isinstance(resp, RawUntagged) and resp.payload.upper().startswith(b"FLAGS"):
                 collected["flags"].append(resp.raw)
             elif isinstance(resp, UntaggedStatus):
-                if resp.code == "UIDVALIDITY":
-                    collected["uidvalidity"] = resp.code_args.strip()
                 if resp.code in ("UIDVALIDITY", "UIDNEXT"):
+                    collected[resp.code.lower()] = resp.code_args.strip()
                     collected["uid_codes"].append(resp.raw)
                 # PERMANENTFLAGS, UNSEEN hints, alerts: dropped
             elif not isinstance(resp, Recent):
@@ -823,7 +824,7 @@ class ClientSession:
         self._send(tagged.raw)
 
     def _subuser_status(self, cmd: Command) -> None:
-        assert self.upstream is not None and cmd.mailbox is not None
+        assert cmd.mailbox is not None
         items_raw = cmd.rest.strip()
         if not items_raw.startswith(b"(") or not items_raw.endswith(b")"):
             self._tagged(cmd.tag, "BAD", "STATUS items must be parenthesized")
@@ -838,40 +839,13 @@ class ClientSession:
             self._tagged(cmd.tag, "BAD", f"unknown STATUS item {unknown[0]}")
             return
 
-        # Passthrough values come from a real upstream STATUS.
-        tag = self.upstream.next_tag()
-        passthrough: dict[str, int] = {}
-
-        def collect(resp) -> bool:
-            if isinstance(resp, StatusData):
-                passthrough.update(dict(resp.items))
-                return True
-            return False
-
-        status_cmd = Command(
-            tag=tag,
-            verb=Verb.STATUS,
-            name="STATUS",
-            mailbox=cmd.mailbox,
-            rest=b"(UIDNEXT UIDVALIDITY)",
-        )
-        tagged = self._subuser_exchange(render_command(status_cmd), tag, collect)
-        self._flush_pending_exists()
-        if tagged.status != "OK":
+        tagged, values = self._inspect(cmd.mailbox, "UNSEEN" in requested)
+        if tagged is not None and tagged.status != "OK":
             self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "STATUS failed")
             return
-
-        values: dict[str, int] = {
-            "RECENT": 0,
-            "UIDNEXT": passthrough.get("UIDNEXT", 0),
-            "UIDVALIDITY": passthrough.get("UIDVALIDITY", 0),
-        }
-        if "MESSAGES" in requested or "UNSEEN" in requested:
-            counts = self._count_visible(cmd.mailbox, "UNSEEN" in requested)
-            if counts is None:
-                self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
-                return
-            values["MESSAGES"], values["UNSEEN"] = counts
+        if not all(item in values for item in requested):
+            self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
+            return
 
         rendered = " ".join(f"{item} {values[item]}" for item in requested)
         self._send(
@@ -882,20 +856,23 @@ class ClientSession:
         )
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
-    def _count_visible(self, target: str, unseen: bool) -> tuple[int, int] | None:
-        """Policy-evaluate *target* over the main upstream connection.
+    def _inspect(self, target: str, unseen: bool) -> tuple[Tagged | None, dict[str, int]]:
+        """Policy-evaluate *target* over the main upstream connection and
+        answer every STATUS item from that.
 
         The upstream holds one selection per connection, so this EXAMINEs
         the target in place and afterwards puts the session's selection
         back: it re-opens the mailbox the session had selected and
-        announces what changed, or CLOSEs when none was. Returns the
-        target's visible message count and, when *unseen* asks for it, how
-        many of those a `SEARCH UNSEEN` in the target hits (else 0); None
-        if the target cannot be inspected. The session goes on either way.
-        Raises SessionAborted only when the selected mailbox cannot be
-        restored.
+        announces what changed. With none selected the upstream stays on
+        the target, whose events are dropped while the session has no view.
+        Returns the EXAMINE's tagged reply (None if it failed in transit)
+        and the values: MESSAGES counts the visible messages, UNSEEN how
+        many of them a `SEARCH UNSEEN` hits when *unseen* asks (else 0),
+        UIDVALIDITY and UIDNEXT are the EXAMINE's and RECENT is 0; an item
+        the inspection could not answer is left out. The session goes on
+        either way. Raises SessionAborted only when the selected mailbox
+        cannot be restored.
         """
-        assert self.upstream is not None
         if self.active_policy is None or self.active_lists is None:
             # no selection has pinned a snapshot yet
             self.active_policy, self.active_lists = self._policy_snapshot()
@@ -906,8 +883,7 @@ class ClientSession:
         # target mailbox and must not touch the session's view.
         self.view = None
 
-        counts: tuple[int, int] | None = None
-        tagged = None
+        tagged, values = None, {}
         try:
             tagged, collected = self._examine(target)
             if tagged.status == "OK":
@@ -916,23 +892,25 @@ class ClientSession:
                 rows = self._fetch_decisions(1, exists, key) if exists else []
                 visible = {seq for seq, _uid, decision in rows if decision is Decision.VISIBLE}
                 hits = self._own_command("SEARCH UNSEEN") if unseen and visible else []
-                counts = len(visible), len(visible.intersection(hits))
+                values = {
+                    "MESSAGES": len(visible),
+                    "UNSEEN": len(visible.intersection(hits)),
+                    "RECENT": 0,
+                    "UIDVALIDITY": collected["uidvalidity"],
+                }
+                if (uidnext := collected["uidnext"] or "").isdigit():  # it is optional
+                    values["UIDNEXT"] = int(uidnext)
         except SessionAborted as exc:
             log.warning("STATUS inspection of %r failed: %s", target, exc)
 
+        # A refused EXAMINE deselects the upstream too (RFC 3501 §6.3.2).
         if old_view is not None:
             assert old_mailbox is not None
             self._open(old_mailbox)
             if self.view is None:
                 raise SessionAborted("cannot re-open selected mailbox after STATUS")
             self._reconcile_view(old_view, self.view)
-        elif tagged is None or tagged.status == "OK":
-            # Return the upstream to an unselected state; a failed
-            # inspection may have left the target open. CLOSE after
-            # EXAMINE expunges nothing.
-            tag = self.upstream.next_tag()
-            self._subuser_exchange(f"{tag} CLOSE\r\n".encode("ascii"), tag)
-        return counts
+        return tagged, values
 
     def _reconcile_view(self, old_view: ViewMap, new_view: ViewMap) -> None:
         """Announce how *new_view* differs from *old_view*, the view the

@@ -710,20 +710,22 @@ def test_upstream_drop_terminates_session(spouse_session, mock6):
 # -- STATUS -----------------------------------------------------------------------
 
 
-def test_status_passthrough_items_skip_inspection(spouse_session, mock6):
+def test_status_uid_items_come_from_the_examine(spouse_session, mock6):
     mock6.clear_log()
     out = spouse_session.cmd(b"t2 STATUS INBOX (UIDNEXT UIDVALIDITY)\r\n")
     assert out[0] == b"* STATUS INBOX (UIDNEXT 61 UIDVALIDITY 4242)\r\n"
     assert out[-1] == b"t2 OK STATUS completed\r\n"
-    assert mock6.received_verbs() == ["STATUS"]
+    assert mock6.received_verbs() == ["EXAMINE", "FETCH"]
 
 
 def test_status_counts_only_visible(spouse_session, mock6):
     mock6.clear_log()
     out = spouse_session.cmd(b"t2 STATUS INBOX (MESSAGES UNSEEN RECENT)\r\n")
     assert out[0] == b"* STATUS INBOX (MESSAGES 4 UNSEEN 3 RECENT 0)\r\n"
-    # inspection runs over the one upstream connection and closes after
-    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH", "SEARCH", "CLOSE"]
+    # inspection runs over the one upstream connection, which stays there
+    assert mock6.received_verbs() == ["EXAMINE", "FETCH", "SEARCH"]
+    out = spouse_session.cmd(b"t3 FETCH 1 (UID)\r\n")
+    assert out == [b"t3 NO no mailbox selected\r\n"]
 
 
 def test_status_while_same_mailbox_selected(spouse_session, mock6):
@@ -735,7 +737,7 @@ def test_status_while_same_mailbox_selected(spouse_session, mock6):
         b"t3 OK STATUS completed\r\n",
     ]
     # inspect the mailbox, then re-open it
-    assert mock6.received_verbs() == ["STATUS", "EXAMINE", "FETCH", "EXAMINE", "FETCH"]
+    assert mock6.received_verbs() == ["EXAMINE", "FETCH", "EXAMINE", "FETCH"]
     # the selection survived the detour
     out = spouse_session.cmd(b"t4 FETCH 4 (UID)\r\n")
     assert out[0] == b"* 4 FETCH (UID 60)\r\n"
@@ -768,6 +770,29 @@ def test_status_non_ascii_item_rejected(spouse_session):
 def test_status_unknown_mailbox(spouse_session):
     out = spouse_session.cmd(b"t2 STATUS Nope (MESSAGES)\r\n")
     assert out[-1] == b"t2 NO No such mailbox\r\n"
+
+
+def test_refused_status_restores_the_selection_silently(spouse_session):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    # a refused EXAMINE leaves the upstream with nothing selected (RFC 3501 §6.3.2)
+    assert spouse_session.cmd(b"t3 STATUS Nope (MESSAGES)\r\n") == [b"t3 NO No such mailbox\r\n"]
+    assert spouse_session.cmd(b"t4 FETCH 4 (UID)\r\n") == [
+        b"* 4 FETCH (UID 60)\r\n",
+        b"t4 OK FETCH completed\r\n",
+    ]
+
+
+def test_status_with_nothing_selected_leaves_nothing_selected(spouse_session, mock6):
+    out = spouse_session.cmd(b"t2 STATUS INBOX (MESSAGES)\r\n")
+    assert out == [b"* STATUS INBOX (MESSAGES 4)\r\n", b"t2 OK STATUS completed\r\n"]
+    assert spouse_session.cmd(b"t3 FETCH 1 (UID)\r\n") == [b"t3 NO no mailbox selected\r\n"]
+    # the upstream still has INBOX open and reports its arrivals; no view takes them
+    mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL)
+    mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL)
+    mock6.clear_log()
+    assert spouse_session.cmd(b"t4 NOOP\r\n") == [b"t4 OK NOOP completed\r\n"]
+    assert b"* 8 EXISTS\r\n" in mock6.transcript
+    assert b"* 5 EXISTS\r\n" in spouse_session.cmd(b"t5 SELECT INBOX\r\n")
 
 
 ARCHIVE_VISIBLE = b"From: friend@uni.example\r\nSubject: photos\r\n\r\nattached\r\n"
@@ -806,7 +831,6 @@ def test_status_of_other_mailbox_while_selected(two_box):
         ]
         # inspect target, then re-open the selected mailbox
         assert mock.received_verbs() == [
-            "STATUS",
             "EXAMINE",
             "FETCH",
             "SEARCH",
@@ -890,7 +914,7 @@ def test_unchanged_mailbox_is_not_evaluated_again(
     assert out[0] == b"* STATUS INBOX (MESSAGES %d UNSEEN %d)\r\n" % (exists, unseen)
     assert _metadata_fetches(mock6) == []
     assert mock6.received_verbs() == [
-        "EXAMINE", "FETCH", "STATUS", "EXAMINE", "FETCH", "SEARCH", "EXAMINE", "FETCH"
+        "EXAMINE", "FETCH", "EXAMINE", "FETCH", "SEARCH", "EXAMINE", "FETCH"
     ]
 
 
@@ -1367,7 +1391,7 @@ def test_failing_decision_fails_select_after_the_tagged_line(scripted_session, m
 
 def test_failing_decision_fails_status_and_keeps_the_session(scripted_session, monkeypatch):
     """With no mailbox selected, a STATUS whose inspection fails answers NO,
-    returns the upstream to no selection and keeps the session."""
+    leaves no mailbox selected and keeps the session."""
     calls = []
     real_decide = proxy_module.decide
 
@@ -1382,8 +1406,9 @@ def test_failing_decision_fails_status_and_keeps_the_session(scripted_session, m
     client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
     out = client.cmd(b"t1 STATUS INBOX (MESSAGES)\r\n")
     assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
-    assert upstream.lines[-1].split(b" ", 1)[1] == b"CLOSE\r\n"
-    assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
+    assert _sent(upstream.lines[1:]) == [b"EXAMINE INBOX", b"FETCH 1:3"]
+    assert client.cmd(b"t2 FETCH 1 (UID)\r\n") == [b"t2 NO no mailbox selected\r\n"]
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t3 SELECT INBOX\r\n")
 
 
 def test_reselect_forgets_the_decisions_of_expunged_messages(spouse_session, proxy6, mock6):
@@ -1492,10 +1517,21 @@ def test_expunge_during_the_status_search_fails_only_the_status(scripted_session
     client, upstream = scripted_session(script, SPOUSE_PASSWORD)
     out = client.cmd(b"t1 STATUS INBOX (MESSAGES UNSEEN)\r\n")
     assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
-    assert expunged and _sent(upstream.lines[-1:]) == [b"CLOSE"]
-    out = client.cmd(b"t2 STATUS INBOX (MESSAGES UNSEEN)\r\n")
+    assert expunged and _sent(upstream.lines[-1:]) == [b"SEARCH UNSEEN"]
+    assert client.cmd(b"t2 FETCH 1 (UID)\r\n") == [b"t2 NO no mailbox selected\r\n"]
+    out = client.cmd(b"t3 STATUS INBOX (MESSAGES UNSEEN)\r\n")
     assert out[0] == b"* STATUS INBOX (MESSAGES 2 UNSEEN 2)\r\n"
-    assert b"* 2 EXISTS\r\n" in client.cmd(b"t3 SELECT INBOX\r\n")
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t4 SELECT INBOX\r\n")
+
+
+def test_status_uidnext_needs_the_examine_to_carry_it(scripted_session):
+    # _scripted_mailbox's EXAMINE sends [UIDVALIDITY] but no [UIDNEXT]
+    box = {"exists": 3, "lie": False}
+    client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    out = client.cmd(b"t1 STATUS INBOX (UIDNEXT)\r\n")
+    assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
+    out = client.cmd(b"t2 STATUS INBOX (MESSAGES UIDVALIDITY)\r\n")
+    assert out[0] == b"* STATUS INBOX (MESSAGES 3 UIDVALIDITY 9)\r\n"
 
 
 # -- the write path: one flush before each wait ------------------------------------------
