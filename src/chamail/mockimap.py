@@ -644,6 +644,7 @@ class MockIMAPServer:
         assert cmd.mailbox is not None
         mb = self._resolve_mailbox(cmd.mailbox)
         if mb is None:
+            state["selected"] = None  # a refused SELECT deselects (RFC 3501 §6.3.1, §6.3.2)
             send(f"{cmd.tag} NO No such mailbox\r\n".encode())
             return
         with self._lock:

@@ -595,39 +595,22 @@ class ClientSession:
         (upstream_seq, uid, decision) rows.
 
         Decisions the server holds under *key* are reused: a first FETCH
-        learns the UIDs, and only the misses are fetched again, with every
-        metadata item the policy reads in one FETCH, and decided row by row.
-        A call from seq 1 learns every live UID (callers ask up to the last
-        EXISTS), and they become the key's layout. With a layout L cached,
-        such a call learns seqs len(L)..last first: if seq len(L) still has
-        UID L[-1], seqs 1..len(L) are L, because UIDs ascend and are never
-        reused under one UIDVALIDITY (RFC 3501 §2.3.1.1); if not, it learns
-        the rest too. Any gap, parse failure or UID mismatch fails the whole
-        operation and caches nothing — a sub-user never sees an unfiltered
-        or half-filtered mailbox.
+        learns the UIDs (_learn_uids, through the key's layout from seq 1),
+        and only the misses are fetched again, with every metadata item the
+        policy reads in one FETCH, and decided row by row. A call from seq 1
+        learns every live UID (callers ask up to the last EXISTS), and they
+        become the key's layout. Any gap, parse failure or UID mismatch
+        fails the whole operation and caches nothing — a sub-user never
+        sees an unfiltered or half-filtered mailbox.
         """
         cache = self.server.decisions
         seqs = range(first, last + 1)
         uids = [0] * len(seqs)  # uids[seq - first]; 0 while unknown
-
-        def learn(seq: int, attrs: dict) -> None:
-            uids[seq - first] = _uid(seq, attrs)
-
         # With nothing cached under the key every UID would miss; the
         # misses' FETCH below then learns the UIDs itself.
         decisions: list[Decision | None] = [None] * len(seqs)
         if key in cache:
-            layout = cache.layout(key) if first == 1 else None
-            held = False  # seqs 1..len(layout) are the layout
-            if layout and len(layout) <= last:
-                self._fetch_rows(range(len(layout), last + 1), "UID", learn)
-                held = uids[len(layout) - 1] == layout[-1]
-                if held:
-                    uids[: len(layout) - 1] = layout[:-1]
-                else:
-                    self._fetch_rows(range(1, len(layout)), "UID", learn)
-            else:
-                self._fetch_rows(seqs, "UID", learn)
+            held = self._learn_uids(first, uids, cache.layout(key) if first == 1 else None)
             decisions = cache.lookup(key, uids)
             if first == 1 and not held:
                 cache.forget_expunged(key, uids)
@@ -656,14 +639,39 @@ class ClientSession:
         log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
         return list(zip(seqs, uids, decisions))
 
-    def _fetch_rows(self, seqs, items: str, on_row) -> None:
+    def _learn_uids(self, first: int, uids: list[int], layout=None, on_exists=None) -> bool:
+        """Fill *uids* with the UIDs of upstream seqs first.. by FETCH (UID),
+        EXISTS counts meanwhile going to *on_exists*. A *layout* L of seqs
+        1..len(L) is checked with one row: if seq len(L) still has UID L[-1],
+        seqs 1..len(L) are L, as UIDs ascend and are never reused under one
+        UIDVALIDITY (RFC 3501 §2.3.1.1), and True is returned; if not, the
+        rest are learnt."""
+
+        def learn(seq: int, attrs: dict) -> None:
+            uids[seq - first] = _uid(seq, attrs)
+
+        rest = range(first, first + len(uids))
+        if layout and len(layout) <= len(uids):
+            self._fetch_rows(range(len(layout), len(uids) + 1), "UID", learn, on_exists)
+            if uids[len(layout) - 1] == layout[-1]:
+                uids[: len(layout) - 1] = layout[:-1]
+                return True
+            rest = range(1, len(layout))
+        self._fetch_rows(rest, "UID", learn, on_exists)
+        return False
+
+    def _fetch_rows(self, seqs, items: str, on_row, on_exists=None) -> None:
         """FETCH *items* for upstream *seqs* (none: no FETCH) by sequence
         number, handing each row's parsed attributes to *on_row(seq,
-        attrs)* as it arrives. A missing seq, bad attributes or a failure
-        in *on_row* abort, and so does what _own_command refuses."""
+        attrs)* as it arrives (and EXISTS counts to *on_exists*). A missing
+        seq, bad attributes or a failure in *on_row* abort, and so does what
+        _own_command refuses."""
         pending = set(seqs)
 
         def row(resp) -> bool:
+            if on_exists is not None and isinstance(resp, Exists):
+                on_exists(resp.count)
+                return True
             if not isinstance(resp, FetchData):
                 return False
             if resp.seq in pending:
@@ -746,25 +754,44 @@ class ClientSession:
         collected["uidvalidity"] = int(uidvalidity_text)
         return tagged, collected
 
-    def _open(self, mailbox: str):
+    def _open(self, mailbox: str, restore: ViewMap | None = None):
         """EXAMINE *mailbox* and make it the session's selection.
 
-        The view starts empty, holding the EXAMINE's EXISTS, and its
-        messages are decided as arrivals are, so an EXISTS during the
-        metadata fetch is kept. Nothing is sent to the client; the caller
-        tells it. Returns the EXAMINE's (tagged, collected). Nothing is
-        selected when the upstream refuses the mailbox or deciding fails.
+        With nothing to *restore* the view starts empty, holding the
+        EXAMINE's EXISTS, and its messages are decided as arrivals are; the
+        caller tells the client. A view to *restore* is put back through
+        _learn_uids, and the client hears what changed as upstream events
+        would have told it. Returns the EXAMINE's (tagged, collected).
+        Nothing is selected when the upstream refuses the mailbox or
+        deciding fails.
         """
         self.view = None
         self.selected_mailbox = None
         tagged, collected = self._examine(mailbox)
         if tagged.status != "OK":
             return tagged, collected
-        view = ViewMap([], collected["uidvalidity"])
-        view.note_exists(collected["exists"])
+        counts, vanished = [collected["exists"]], []
+        view = ViewMap([], collected["uidvalidity"]) if restore is None else restore
+        if view.uidvalidity != collected["uidvalidity"]:
+            raise SessionAborted("UIDVALIDITY changed mid-session")
+        if restore is not None:
+            # The view is quiesced, so an EXISTS during this FETCH is kept
+            # here and noted after the expunges it may count.
+            old, uids = view.decided_uids(), [0] * counts[0]
+            if not self._learn_uids(1, uids, old, counts.append):
+                live = set(uids)
+                vanished = [seq for seq, uid in enumerate(old, start=1) if uid not in live]
+                if [uid for uid in old if uid in live] != uids[: len(old) - len(vanished)]:
+                    raise SessionAborted("re-open desync: a UID moved")
+            key = self._decision_key(mailbox, view.uidvalidity)
+            self.server.decisions.forget_expunged(key, uids)
+            self.server.decisions.store(key, {}, array("I", uids))
         self.view, self.selected_mailbox = view, mailbox
         try:
-            self._flush_pending_exists(announce=False)
+            for seq in reversed(vanished):
+                self._absorb_stray(ExpungeEvent(seq))
+            self._absorb_stray(Exists(max(counts)))
+            self._flush_pending_exists(announce=restore is not None)
         except SessionAborted:
             self.view = None
             self.selected_mailbox = None
@@ -861,10 +888,10 @@ class ClientSession:
         answer every STATUS item from that.
 
         The upstream holds one selection per connection, so this EXAMINEs
-        the target in place and afterwards puts the session's selection
-        back: it re-opens the mailbox the session had selected and
-        announces what changed. With none selected the upstream stays on
-        the target, whose events are dropped while the session has no view.
+        the target in place and afterwards puts the session's own view
+        back (_open), which tells the client what changed meanwhile. With
+        none selected the upstream stays on the target, whose events are
+        dropped while the session has no view.
         Returns the EXAMINE's tagged reply (None if it failed in transit)
         and the values: MESSAGES counts the visible messages, UNSEEN how
         many of them a `SEARCH UNSEEN` hits when *unseen* asks (else 0),
@@ -906,28 +933,10 @@ class ClientSession:
         # A refused EXAMINE deselects the upstream too (RFC 3501 §6.3.2).
         if old_view is not None:
             assert old_mailbox is not None
-            self._open(old_mailbox)
+            self._open(old_mailbox, old_view)
             if self.view is None:
                 raise SessionAborted("cannot re-open selected mailbox after STATUS")
-            self._reconcile_view(old_view, self.view)
         return tagged, values
-
-    def _reconcile_view(self, old_view: ViewMap, new_view: ViewMap) -> None:
-        """Announce how *new_view* differs from *old_view*, the view the
-        client knows: expunges of vanished messages, then a new EXISTS, so
-        the client's model stays consistent."""
-        if new_view.uidvalidity != old_view.uidvalidity:
-            raise SessionAborted("UIDVALIDITY changed mid-session")
-        new_uids = new_view.visible_uid_set()
-        vanished = [
-            virtual
-            for virtual, uid in enumerate(old_view.visible_uids(), start=1)
-            if uid not in new_uids
-        ]
-        for virtual in reversed(vanished):
-            self._send(b"* %d EXPUNGE\r\n" % virtual)
-        if new_view.exists() != old_view.exists() - len(vanished):
-            self._send(b"* %d EXISTS\r\n" % new_view.exists())
 
     def _subuser_fetch(self, cmd: Command) -> None:
         if self.view is None:
@@ -950,7 +959,6 @@ class ClientSession:
                 self._tagged(cmd.tag, "OK", completion_text(cmd.name))
                 return
         upstream_blob = f"{cmd.tag} {cmd.name} {mapped.render()} ".encode("ascii") + cmd.rest + CRLF
-        allowed_uids = view.visible_uid_set()
 
         def relay(resp) -> bool:
             if not isinstance(resp, FetchData):
@@ -962,13 +970,11 @@ class ClientSession:
             if virtual is HIDDEN:
                 return True
             if cmd.verb is Verb.UID_FETCH:
-                try:
-                    attrs = dict(parse_fetch_attrs(resp.attrs))
-                except ImapSyntaxError as exc:
-                    raise SessionAborted(f"unparseable FETCH attributes: {exc}") from exc
-                uid = attrs.get("UID")
-                if not isinstance(uid, int) or uid not in allowed_uids:
+                uid = dict(parse_fetch_attrs(resp.attrs)).get("UID")
+                if uid is None:  # an unsolicited update without its UID
                     return True
+                if uid != view.decided_uids()[resp.seq - 1]:
+                    raise SessionAborted(f"fetch response desync: seq {resp.seq} has another UID")
             self._send(b"* %d FETCH " % virtual + resp.attrs + CRLF)
             return True
 

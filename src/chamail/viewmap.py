@@ -72,7 +72,6 @@ class ViewMap:
         """Drop the lookup indexes; the next lookup rebuilds them."""
         self._virtual_by_slot: list[int] | None = None
         self._visible_uids: tuple[int, ...] | None = None
-        self._visible_uid_set: frozenset[int] | None = None
 
     def _append(self, messages: Iterable[tuple[int, int, Decision]], what: str) -> bool:
         """Append slots in upstream order; True iff one of them is visible."""
@@ -110,6 +109,10 @@ class ViewMap:
         """Upstream seqs announced by EXISTS and not yet decided."""
         return range(len(self._uids) + 1, self._announced + 1)
 
+    def decided_uids(self) -> Sequence[int]:
+        """UIDs of upstream seqs 1..upstream_exists(): the view's own list."""
+        return self._uids
+
     def hidden_uids(self) -> frozenset[int]:
         return frozenset(uid for uid, visible in zip(self._uids, self._visible) if not visible)
 
@@ -118,15 +121,6 @@ class ViewMap:
         if self._visible_uids is None:
             self._visible_uids = tuple(compress(self._uids, self._visible))
         return self._visible_uids
-
-    def visible_uid_set(self) -> frozenset[int]:
-        """The same UIDs as a set; a later update replaces, never mutates, it."""
-        if self._visible_uid_set is None:
-            self._visible_uid_set = frozenset(self.visible_uids())
-        return self._visible_uid_set
-
-    def uid_visible(self, uid: int) -> bool:
-        return uid in self.visible_uid_set()
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(virtual_seq, upstream_seq, uid) rows for every visible message."""
@@ -192,7 +186,7 @@ class ViewMap:
 
     def filter_uids(self, uids: Sequence[int]) -> list[int]:
         """Drop hidden and unknown UIDs, preserving input order."""
-        visible = self.visible_uid_set()
+        visible = set(self.visible_uids())
         return [uid for uid in uids if uid in visible]
 
     # -- live updates ------------------------------------------------------

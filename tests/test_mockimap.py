@@ -163,6 +163,13 @@ def test_select_unknown_mailbox(mclient):
     assert out[-1] == b"a2 NO No such mailbox\r\n"
 
 
+def test_refused_select_leaves_nothing_selected(mclient):
+    client = mclient()
+    select(client)
+    assert client.cmd(b"a3 SELECT Nope\r\n") == [b"a3 NO No such mailbox\r\n"]
+    assert client.cmd(b"a4 FETCH 1 (UID)\r\n") == [b"a4 NO no mailbox selected\r\n"]
+
+
 def test_logout(mclient):
     client = mclient()
     out = client.cmd(b"a1 LOGOUT\r\n")

@@ -39,8 +39,7 @@ def test_uid_partition():
     view = make_view(MIXED)
     assert view.visible_uids() == (10, 20, 40, 60)
     assert view.hidden_uids() == frozenset({30, 50})
-    assert view.uid_visible(40)
-    assert not view.uid_visible(30)
+    assert view.filter_uids([40, 30, 99]) == [40]
 
 
 def test_map_down():
@@ -274,12 +273,10 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
         visible_uids = tuple(uid for _, _, uid in shadow)
         virtual_of = {upstream: virtual for virtual, upstream, _ in shadow}
         assert view.visible_uids() == visible_uids
-        assert view.visible_uid_set() == frozenset(visible_uids)
         assert view.exists() == len(shadow)
         for upstream in range(1, announced_count + 1):
             assert view.map_down_seq(upstream) == virtual_of.get(upstream, HIDDEN)
-        for uid, _ in rows:
-            assert view.uid_visible(uid) == (uid in visible_uids)
+        assert view.filter_uids([uid for uid, _ in rows]) == list(visible_uids)
         number = st.one_of(st.integers(1, len(shadow) + 2).map(str), st.just("*"))
         item = st.one_of(number, st.tuples(number, number).map(":".join))
         asked = parse_sequence_set(",".join(data.draw(st.lists(item, min_size=1, max_size=6))))
