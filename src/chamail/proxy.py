@@ -26,7 +26,6 @@ import socket
 import ssl
 import threading
 import traceback
-from array import array
 from . import imapcodec, store
 from .config import ProxyConfig, UpstreamOverride, load_config  # noqa: F401 (re-exported)
 from .credstore import CredStore
@@ -562,18 +561,29 @@ class ClientSession:
         # everything else (RECENT, FLAGS lists, LIST data, alerts) is dropped:
         # the sub-user engine only forwards what it understands.
 
-    def _flush_pending_exists(self, announce: bool = True) -> None:
+    def _flush_pending_exists(self, announce: bool = True, known=()) -> bool:
         """Decide the arrivals the upstream has announced, announcing the
         visible ones unless *announce* is False; an EXISTS during the
-        metadata fetch adds more."""
+        metadata fetch adds more. *known* holds UIDs already learnt for the
+        first arrivals. Returns True iff it decided, and so saved, any."""
         view = self.view
-        while view is not None and (arrivals := view.undecided()):
-            assert self.selected_mailbox is not None
-            key = self._decision_key(self.selected_mailbox, view.uidvalidity)
-            rows = self._fetch_decisions(arrivals[0], arrivals[-1], key)
-            announced = view.extend_on_new(rows)
+        if view is None or not view.undecided():
+            return False
+        while arrivals := view.undecided():
+            announced = view.extend_on_new(self._fetch_decisions(arrivals[0], arrivals[-1], known))
+            known = ()
             if announce and announced is not None:
                 self._send(b"* %d EXISTS\r\n" % announced)
+        self._save_view()
+        return True
+
+    def _save_view(self) -> None:
+        """Save the selected view as its key's last view, for any session
+        to start from."""
+        view = self.view
+        assert view is not None and self.selected_mailbox is not None
+        key = self._decision_key(self.selected_mailbox, view.uidvalidity)
+        self.server.decisions.store(key, view.slots(), view.upstream_exists())
 
     # -- metadata fetching ---------------------------------------------------------
 
@@ -588,73 +598,51 @@ class ClientSession:
         assert self.upstream_id is not None and policy is not None and lists is not None
         return decision_key(self.upstream_id, mailbox, uidvalidity, policy, lists)
 
-    def _fetch_decisions(
-        self, first: int, last: int, key: tuple
-    ) -> list[tuple[int, int, Decision]]:
-        """Evaluate policy over upstream seqs first..last; returns
-        (upstream_seq, uid, decision) rows.
-
-        Decisions the server holds under *key* are reused: a first FETCH
-        learns the UIDs (_learn_uids, through the key's layout from seq 1),
-        and only the misses are fetched again, with every metadata item the
-        policy reads in one FETCH, and decided row by row. A call from seq 1
-        learns every live UID (callers ask up to the last EXISTS), and they
-        become the key's layout. Any gap, parse failure or UID mismatch
-        fails the whole operation and caches nothing — a sub-user never
-        sees an unfiltered or half-filtered mailbox.
+    def _fetch_decisions(self, first: int, last: int, known=()) -> list[tuple[int, int, Decision]]:
+        """Evaluate policy over upstream seqs first..last with one FETCH of
+        every metadata item the policy reads, decided row by row; returns
+        (upstream_seq, uid, decision) rows. *known* holds UIDs already
+        learnt for seqs first..; a row with another UID, a gap or a parse
+        failure fails the whole operation — a sub-user never sees an
+        unfiltered or half-filtered mailbox.
         """
-        cache = self.server.decisions
+        policy, lists = self.active_policy, self.active_lists
+        assert policy is not None and lists is not None
         seqs = range(first, last + 1)
-        uids = [0] * len(seqs)  # uids[seq - first]; 0 while unknown
-        # With nothing cached under the key every UID would miss; the
-        # misses' FETCH below then learns the UIDs itself.
+        uids = [*known, *[0] * (len(seqs) - len(known))]  # uids[seq - first]; 0 while unknown
         decisions: list[Decision | None] = [None] * len(seqs)
-        if key in cache:
-            held = self._learn_uids(first, uids, cache.layout(key) if first == 1 else None)
-            decisions = cache.lookup(key, uids)
-            if first == 1 and not held:
-                cache.forget_expunged(key, uids)
-        misses = [seq for seq, hit in zip(seqs, decisions) if hit is None]
-        if misses:
-            policy, lists = self.active_policy, self.active_lists
-            assert policy is not None and lists is not None
-            items = f"UID BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]"
-            if policy.has_keyword_constraints:
-                items += f" BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>"
+        items = f"UID BODY.PEEK[HEADER.FIELDS ({_META_HEADER_FIELDS})]"
+        if policy.has_keyword_constraints:
+            items += f" BODY.PEEK[TEXT]<0.{BODY_EXCERPT_CAP}>"
 
-            def judge(seq: int, attrs: dict) -> None:
-                uid = _uid(seq, attrs)
-                if uids[seq - first] not in (0, uid):
-                    raise SessionAborted(f"metadata fetch desync: seq {seq} changed UID")
-                uids[seq - first] = uid
-                header = _section(attrs, "BODY[HEADER.FIELDS", seq)
-                body = _section(attrs, "BODY[TEXT]", seq) if policy.has_keyword_constraints else b""
-                decisions[seq - first] = decide(policy, lists, self.principal, header, body)[0]
+        def judge(seq: int, attrs: dict) -> None:
+            uid = _uid(seq, attrs)
+            if uids[seq - first] not in (0, uid):
+                raise SessionAborted(f"metadata fetch desync: seq {seq} changed UID")
+            uids[seq - first] = uid
+            header = _section(attrs, "BODY[HEADER.FIELDS", seq)
+            body = _section(attrs, "BODY[TEXT]", seq) if policy.has_keyword_constraints else b""
+            decisions[seq - first] = decide(policy, lists, self.principal, header, body)[0]
 
-            self._fetch_rows(misses, items, judge)
-        if misses or first == 1:
-            new = {uids[seq - first]: decisions[seq - first] for seq in misses}
-            cache.store(key, new, array("I", uids) if first == 1 else None)
-        hits = len(seqs) - len(misses)
-        log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, hits, len(misses))
+        self._fetch_rows(seqs, items, judge)
         return list(zip(seqs, uids, decisions))
 
-    def _learn_uids(self, first: int, uids: list[int], layout=None, on_exists=None) -> bool:
-        """Fill *uids* with the UIDs of upstream seqs first.. by FETCH (UID),
-        EXISTS counts meanwhile going to *on_exists*. A *layout* L of seqs
-        1..len(L) is checked with one row: if seq len(L) still has UID L[-1],
-        seqs 1..len(L) are L, as UIDs ascend and are never reused under one
-        UIDVALIDITY (RFC 3501 §2.3.1.1), and True is returned; if not, the
-        rest are learnt."""
+    def _learn_uids(self, uids: list[int], layout, on_exists=None) -> bool:
+        """Fill *uids* with the UIDs of upstream seqs 1.. by FETCH (UID),
+        EXISTS counts meanwhile going to *on_exists*. A non-empty *layout*
+        L of seqs 1..len(L) is checked with one row: if seq len(L) still
+        has UID L[-1], seqs 1..len(L) are L, as UIDs ascend and are never
+        reused under one UIDVALIDITY (RFC 3501 §2.3.1.1), and True is
+        returned with only seqs len(L).. filled; if not, the rest are
+        learnt."""
 
         def learn(seq: int, attrs: dict) -> None:
-            uids[seq - first] = _uid(seq, attrs)
+            uids[seq - 1] = _uid(seq, attrs)
 
-        rest = range(first, first + len(uids))
-        if layout and len(layout) <= len(uids):
+        rest = range(1, len(uids) + 1)
+        if len(layout) <= len(uids):
             self._fetch_rows(range(len(layout), len(uids) + 1), "UID", learn, on_exists)
             if uids[len(layout) - 1] == layout[-1]:
-                uids[: len(layout) - 1] = layout[:-1]
                 return True
             rest = range(1, len(layout))
         self._fetch_rows(rest, "UID", learn, on_exists)
@@ -757,45 +745,51 @@ class ClientSession:
     def _open(self, mailbox: str, restore: ViewMap | None = None):
         """EXAMINE *mailbox* and make it the session's selection.
 
-        With nothing to *restore* the view starts empty, holding the
-        EXAMINE's EXISTS, and its messages are decided as arrivals are; the
-        caller tells the client. A view to *restore* is put back through
-        _learn_uids, and the client hears what changed as upstream events
-        would have told it. Returns the EXAMINE's (tagged, collected).
-        Nothing is selected when the upstream refuses the mailbox or
-        deciding fails.
+        The view starts from *restore*, the session's own view put back
+        after a STATUS, else from a copy of the view last saved under the
+        mailbox's key, else empty. _learn_uids checks it against the
+        server; vanished slots are dropped and the arrivals decided, and
+        the client hears of them as upstream events would have told it for
+        a put-back only. The view is then saved. Returns the EXAMINE's
+        (tagged, collected). Nothing is selected when the upstream refuses
+        the mailbox or deciding fails.
         """
         self.view = None
         self.selected_mailbox = None
         tagged, collected = self._examine(mailbox)
         if tagged.status != "OK":
             return tagged, collected
-        counts, vanished = [collected["exists"]], []
-        view = ViewMap([], collected["uidvalidity"]) if restore is None else restore
-        if view.uidvalidity != collected["uidvalidity"]:
+        counts, vanished, uidvalidity = [collected["exists"]], [], collected["uidvalidity"]
+        view = restore
+        if view is None:
+            slots = self.server.decisions.load(self._decision_key(mailbox, uidvalidity))
+            view = ViewMap.from_slots(slots or ((), b""), uidvalidity)
+        if view.uidvalidity != uidvalidity:
             raise SessionAborted("UIDVALIDITY changed mid-session")
-        if restore is not None:
-            # The view is quiesced, so an EXISTS during this FETCH is kept
-            # here and noted after the expunges it may count.
-            old, uids = view.decided_uids(), [0] * counts[0]
-            if not self._learn_uids(1, uids, old, counts.append):
-                live = set(uids)
-                vanished = [seq for seq, uid in enumerate(old, start=1) if uid not in live]
-                if [uid for uid in old if uid in live] != uids[: len(old) - len(vanished)]:
-                    raise SessionAborted("re-open desync: a UID moved")
-            key = self._decision_key(mailbox, view.uidvalidity)
-            self.server.decisions.forget_expunged(key, uids)
-            self.server.decisions.store(key, {}, array("I", uids))
+        # The view is detached, so an EXISTS during this FETCH is kept here
+        # and noted after the expunges it may count.
+        old, uids = view.decided_uids(), [0] * counts[0]
+        if old and not self._learn_uids(uids, old, counts.append):
+            live = set(uids)
+            vanished = [seq for seq, uid in enumerate(old, start=1) if uid not in live]
+            if [uid for uid in old if uid in live] != uids[: len(old) - len(vanished)]:
+                raise SessionAborted("re-open desync: a UID moved")
         self.view, self.selected_mailbox = view, mailbox
         try:
             for seq in reversed(vanished):
-                self._absorb_stray(ExpungeEvent(seq))
+                virtual = view.apply_upstream_expunge(seq)
+                if restore is not None and virtual is not None:
+                    self._send(b"* %d EXPUNGE\r\n" % virtual)
+            kept = view.upstream_exists()
             self._absorb_stray(Exists(max(counts)))
-            self._flush_pending_exists(announce=restore is not None)
+            if not self._flush_pending_exists(announce=restore is not None, known=uids[kept:]):
+                self._save_view()
         except SessionAborted:
             self.view = None
             self.selected_mailbox = None
             raise
+        evaluated = view.upstream_exists() - kept
+        log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, kept, evaluated)
         return tagged, collected
 
     def _subuser_select(self, cmd: Command) -> None:
@@ -887,11 +881,11 @@ class ClientSession:
         """Policy-evaluate *target* over the main upstream connection and
         answer every STATUS item from that.
 
-        The upstream holds one selection per connection, so this EXAMINEs
-        the target in place and afterwards puts the session's own view
-        back (_open), which tells the client what changed meanwhile. With
-        none selected the upstream stays on the target, whose events are
-        dropped while the session has no view.
+        The upstream holds one selection per connection, so this opens
+        the target in place (_open), detaches its view and afterwards puts
+        the session's own view back, which tells the client what changed
+        meanwhile. With none selected the upstream stays on the target,
+        whose events are dropped while the session has no view.
         Returns the EXAMINE's tagged reply (None if it failed in transit)
         and the values: MESSAGES counts the visible messages, UNSEEN how
         many of them a `SEARCH UNSEEN` hits when *unseen* asks (else 0),
@@ -906,24 +900,20 @@ class ClientSession:
         old_view = self.view
         old_mailbox = self.selected_mailbox
 
-        # Quiesce event handling: strays during the detour belong to the
-        # target mailbox and must not touch the session's view.
-        self.view = None
-
         tagged, values = None, {}
         try:
-            tagged, collected = self._examine(target)
-            if tagged.status == "OK":
-                exists = collected["exists"]
-                key = self._decision_key(target, collected["uidvalidity"])
-                rows = self._fetch_decisions(1, exists, key) if exists else []
-                visible = {seq for seq, _uid, decision in rows if decision is Decision.VISIBLE}
-                hits = self._own_command("SEARCH UNSEEN") if unseen and visible else []
+            tagged, collected = self._open(target)
+            # Detached, so no stray reply about the target reaches the client.
+            view, self.view, self.selected_mailbox = self.view, None, None
+            if view is not None:
+                hits = self._own_command("SEARCH UNSEEN") if unseen and view.exists() else []
+                decided = range(1, view.upstream_exists() + 1)
+                hits = [s for s in hits if s in decided and view.map_down_seq(s) is not HIDDEN]
                 values = {
-                    "MESSAGES": len(visible),
-                    "UNSEEN": len(visible.intersection(hits)),
+                    "MESSAGES": view.exists(),
+                    "UNSEEN": len(hits),
                     "RECENT": 0,
-                    "UIDVALIDITY": collected["uidvalidity"],
+                    "UIDVALIDITY": view.uidvalidity,
                 }
                 if (uidnext := collected["uidnext"] or "").isdigit():  # it is optional
                     values["UIDNEXT"] = int(uidnext)

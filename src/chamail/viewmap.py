@@ -11,11 +11,12 @@ undecided arrivals: they are HIDDEN until extend_on_new decides them, so a
 reply about a message nobody has evaluated yet never reaches the client.
 
 The map lives for one selected mailbox in one session and is never
-shared across sessions.
+shared across sessions; a copy of its slots is, through the decision cache.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import accumulate, compress
 from typing import Iterable, Sequence
@@ -63,10 +64,23 @@ class ViewMap:
     ):
         self.uidvalidity = uidvalidity
         # slot index i holds upstream seq i+1
-        self._uids: list[int] = []
+        self._uids = array("I")
         self._visible = bytearray()  # 1 where the sub-user may see the slot
         self._announced = 0  # the upstream's EXISTS; slots past _uids are undecided
         self._append(messages, "upstream seq")
+
+    @classmethod
+    def from_slots(cls, slots: tuple[Sequence[int], bytes], uidvalidity: int) -> "ViewMap":
+        """A map of the decided slots a view's slots() copied out."""
+        view = cls((), uidvalidity)
+        uids, visible = slots
+        view._uids, view._visible = array("I", uids), bytearray(visible)
+        view._announced = len(uids)
+        return view
+
+    def slots(self) -> tuple[array, bytes]:
+        """A copy of the decided slots: their UIDs and visibility bytes."""
+        return array("I", self._uids), bytes(self._visible)
 
     def _changed(self) -> None:
         """Drop the lookup indexes; the next lookup rebuilds them."""

@@ -1,4 +1,4 @@
-"""The server-wide decision cache: what its key tells apart, and its bound."""
+"""The server-wide cache of saved views: what its key tells apart, and its bound."""
 
 import random
 import sys
@@ -8,7 +8,6 @@ from array import array
 from chamail import decisions
 from chamail.decisions import DecisionCache, decision_key
 from chamail.policy import (
-    Decision,
     KeywordConstraint,
     KeywordMode,
     PolicySet,
@@ -16,10 +15,14 @@ from chamail.policy import (
     SenderMode,
 )
 
-V, H = Decision.VISIBLE, Decision.HIDDEN
 UPSTREAM = ("imap.example", 993, "person@example.org")
 BLACKLIST = PolicySet(sender_constraints=(SenderConstraint(SenderMode.BLACKLIST, "exes"),))
 LISTS = {"exes": frozenset({"ex@example.org"}), "work": frozenset({"boss@work.example"})}
+
+
+def slots(*uids):
+    """Saved slots of a view whose odd UIDs are visible."""
+    return array("I", uids), bytes(uid % 2 for uid in uids)
 
 
 def key(mailbox="INBOX", uidvalidity=7, policy=BLACKLIST, lists=LISTS, upstream=UPSTREAM):
@@ -58,84 +61,44 @@ def test_key_tells_every_input_apart():
     assert len({base, *others}) == len(others) + 1
 
 
-def test_lookup_reports_hits_and_misses_in_order():
+def test_load_returns_the_last_saved_slots():
     cache = DecisionCache()
-    assert key() not in cache
-    assert cache.lookup(key(), [10, 20]) == [None, None]
-    cache.store(key(), {10: V, 30: H})
-    assert key() in cache
-    assert cache.lookup(key(), [30, 20, 10]) == [H, None, V]
-    assert cache.lookup(key(uidvalidity=8), [10]) == [None]
+    assert cache.load(key()) is None
+    saved = slots(10, 21)
+    cache.store(key(), saved, 2)
+    assert cache.load(key()) is saved
+    assert cache.load(key(uidvalidity=8)) is None
+    # a later save replaces the view and its count
+    cache.store(key(), slots(21, 30, 41), 3)
+    assert cache.load(key()) == slots(21, 30, 41)
+    assert cache._size == 3
 
 
 def test_eviction_drops_least_recently_used_keys(monkeypatch):
     monkeypatch.setattr(decisions, "CAP_UIDS", 6)
     cache = DecisionCache()
     a, b, c = key("A"), key("B"), key("C")
-    cache.store(a, {1: V, 2: V, 3: H})
-    cache.store(b, {1: H, 2: H, 3: V})
-    cache.lookup(a, [1])  # a is now the most recently used
-    cache.store(c, {1: V})
-    assert a in cache and c in cache and b not in cache
-    assert cache.lookup(a, [1, 2, 3]) == [V, V, H]
-    # growing a key counts its new UIDs only
-    cache.store(c, {1: V, 2: H})
-    assert a in cache and c in cache
-    cache.store(c, {3: V, 4: V})
-    assert a not in cache and cache.lookup(c, [1, 2, 3, 4]) == [V, H, V, V]
+    cache.store(a, slots(1, 2, 3), 3)
+    cache.store(b, slots(1, 2, 3), 3)
+    cache.load(a)  # a is now the most recently used
+    cache.store(c, slots(1), 1)
+    assert cache.load(b) is None
+    assert cache.load(a) == slots(1, 2, 3) and cache.load(c) == slots(1)
+    # re-saving a key counts its slots once
+    cache.store(c, slots(1, 2), 2)
+    assert cache.load(a) is not None and cache._size == 5
+    cache.store(c, slots(1, 2, 3, 4), 4)
+    assert cache.load(a) is None and cache.load(c) == slots(1, 2, 3, 4)
+    assert cache._size == 4
 
 
 def test_a_key_larger_than_the_cap_is_not_kept(monkeypatch):
     monkeypatch.setattr(decisions, "CAP_UIDS", 5)
     cache = DecisionCache()
-    cache.store(key("A"), {1: V})
-    cache.store(key("B"), dict.fromkeys(range(6), V))
-    assert key("A") not in cache and key("B") not in cache
+    cache.store(key("A"), slots(1), 1)
+    cache.store(key("B"), slots(*range(1, 7)), 6)
+    assert cache.load(key("A")) is None and cache.load(key("B")) is None
     assert cache._size == 0
-
-
-def test_a_layout_is_kept_with_its_entry_and_evicted_with_it(monkeypatch):
-    monkeypatch.setattr(decisions, "CAP_UIDS", 4)
-    cache = DecisionCache()
-    assert cache.layout(key("A")) is None
-    cache.store(key("A"), {10: V, 20: H}, array("I", [10, 20]))
-    assert cache.layout(key("A")) == array("I", [10, 20])
-    cache.store(key("A"), {30: V})  # decisions alone leave the layout as it was
-    assert cache.layout(key("A")) == array("I", [10, 20])
-    cache.store(key("A"), {}, array("I", [20, 30]))
-    assert cache.layout(key("A")) == array("I", [20, 30])
-    cache.store(key("B"), {1: V, 2: H})  # A is the least recently used
-    assert key("A") not in cache and cache.layout(key("A")) is None
-    assert cache._layouts == {}
-
-
-def test_no_layout_is_kept_for_a_key_larger_than_the_cap(monkeypatch):
-    monkeypatch.setattr(decisions, "CAP_UIDS", 5)
-    cache = DecisionCache()
-    cache.store(key("B"), dict.fromkeys(range(1, 7), V), array("I", range(1, 7)))
-    assert key("B") not in cache and cache.layout(key("B")) is None
-    assert cache._layouts == {} and cache._size == 0
-
-
-def test_forgetting_expunged_uids_leaves_the_layout_alone():
-    cache = DecisionCache()
-    cache.store(key(), {10: V, 20: H, 30: V}, array("I", [10, 20, 30]))
-    cache.forget_expunged(key(), [10, 30])
-    assert cache.lookup(key(), [10, 20, 30]) == [V, None, V]
-    assert cache.layout(key()) == array("I", [10, 20, 30])
-
-
-def test_forgetting_expunged_uids_keeps_later_arrivals_and_the_count():
-    cache = DecisionCache()
-    cache.store(key(), {10: V, 20: H, 30: V, 40: H, 50: V, 60: H})
-    cache.store(key("A"), {20: V})
-    # 20 and 40 were expunged; 60 arrived after the caller's EXISTS
-    cache.forget_expunged(key(), [10, 30, 50])
-    assert cache.lookup(key(), [10, 20, 30, 40, 50, 60]) == [V, None, V, None, V, H]
-    assert cache.lookup(key("A"), [20]) == [V]
-    assert cache._size == 5
-    cache.forget_expunged(key("B"), [10])
-    assert key("B") not in cache and cache._size == 5
 
 
 def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
@@ -144,22 +107,16 @@ def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
     keys = [key(f"box{i}") for i in range(5)]
     errors = []
 
-    def decision_of(uid):
-        return V if uid % 3 == 0 else H
-
     def session(seed):
         rng = random.Random(seed)
         try:
             for _ in range(300):
                 k = rng.choice(keys)
-                uids = rng.sample(range(40), rng.randint(1, 15))
-                for uid, hit in zip(uids, cache.lookup(k, uids)):
-                    if hit not in (None, decision_of(uid)):
-                        errors.append((k, uid, hit))
-                layout = array("I", sorted(uids)) if rng.random() < 0.3 else None
-                cache.store(k, {uid: decision_of(uid) for uid in uids}, layout)
-                if rng.random() < 0.2:
-                    cache.forget_expunged(k, rng.sample(range(40), rng.randint(1, 30)))
+                held = cache.load(k)
+                if held is not None and held != slots(*held[0]):
+                    errors.append((k, held))
+                uids = sorted(rng.sample(range(1, 40), rng.randint(1, 15)))
+                cache.store(k, slots(*uids), len(uids))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
@@ -175,5 +132,6 @@ def test_concurrent_sessions_keep_the_count_exact(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert cache._size == sum(len(entry) for entry in cache._entries.values()) <= 50
-    assert set(cache._layouts) <= set(cache._entries)
+    entries = cache._entries.values()
+    assert cache._size == sum(count for _saved, count in entries) <= 50
+    assert all(count == len(saved[0]) for saved, count in entries)

@@ -859,10 +859,9 @@ def test_restore_after_status_checks_the_view_with_one_row(two_box):
             b"EXAMINE INBOX\r\n",
             b"FETCH 5 (UID)\r\n",
         ]
-        # and it forgot the decision of the message expunged before it
-        [inbox] = [entry for key, entry in proxy.decisions._entries.items() if key[3] == "INBOX"]
-        assert 20 not in inbox
-        # the restore wrote that layout, so the re-SELECT checks one row too
+        # and it saved the view without the message expunged before it
+        assert _saved(proxy) == ([10, 30, 40, 50, 60], b"\x01\x00\x01\x00\x01")
+        # so the re-SELECT checks one row too
         mock.clear_log()
         assert b"* 3 EXISTS\r\n" in client.cmd(b"t5 SELECT INBOX\r\n")
         assert [cmd.raw.split(b" ", 1)[1] for cmd in mock.received] == [
@@ -930,6 +929,14 @@ def test_policy_snapshot_held_until_reselect(spouse_session, store6):
 SPOUSE_BLACKLIST = (SenderConstraint(SenderMode.BLACKLIST, "exes"),)
 
 
+def _saved(proxy, mailbox="INBOX") -> tuple[list[int], bytes]:
+    """The UIDs and visibility bytes of the view last saved for *mailbox*."""
+    [(uids, visible)] = [
+        saved for key, (saved, _count) in proxy.decisions._entries.items() if key[3] == mailbox
+    ]
+    return list(uids), visible
+
+
 def _metadata_fetches(mock) -> list[bytes]:
     """Upstream FETCHes that read headers or body excerpts for the policy."""
     return [
@@ -968,6 +975,24 @@ def test_unchanged_mailbox_is_not_evaluated_again(
     assert mock6.received_verbs() == [
         "EXAMINE", "FETCH", "EXAMINE", "FETCH", "SEARCH", "EXAMINE", "FETCH"
     ]
+
+
+def test_a_second_session_starts_from_the_view_the_first_saved(spouse_session, connect, mock6):
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL)
+    uid = mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL)
+    assert spouse_session.cmd(b"t3 NOOP\r\n") == [b"* 5 EXISTS\r\n", b"t3 OK NOOP completed\r\n"]
+    spouse_session.cmd(b"t4 LOGOUT\r\n")  # the mock serves one connection at a time
+    other = connect()
+    assert other.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")[-1].startswith(b"t1 OK")
+    mock6.clear_log()
+    assert b"* 5 EXISTS\r\n" in other.cmd(b"t2 SELECT INBOX\r\n")
+    # the NOOP saved both decided arrivals: one row proves them, none is fetched again
+    assert [cmd.raw.split(b" ", 1)[1] for cmd in mock6.received] == [
+        b"EXAMINE INBOX\r\n",
+        b"FETCH 8 (UID)\r\n",
+    ]
+    assert other.cmd(b"t3 UID SEARCH ALL\r\n")[0] == b"* SEARCH 10 20 40 60 %d\r\n" % uid
 
 
 def test_blacklisting_a_visible_sender_hides_it_at_reselect(spouse_session, store6):
@@ -1230,8 +1255,10 @@ def test_select_logs_cache_counts_only(spouse_session, caplog):
         spouse_session.cmd(b"t3 SELECT INBOX\r\n")
         spouse_session.cmd(b"t4 STATUS INBOX (MESSAGES)\r\n")
     lines = [r.getMessage() for r in caplog.records if "policy decisions" in r.getMessage()]
+    # one line per open: the SELECT, the re-SELECT, the inspection and the put-back
     assert [line.rsplit(": ", 1)[1] for line in lines] == [
         "0 cached, 6 evaluated",
+        "6 cached, 0 evaluated",
         "6 cached, 0 evaluated",
         "6 cached, 0 evaluated",
     ]
@@ -1285,7 +1312,8 @@ def test_newcomer_under_keyword_rules_costs_one_fetch(spouse_session, store6, mo
     mock6.clear_log()
     out = spouse_session.cmd(b"t3 NOOP\r\n")
     assert out == [b"* 5 EXISTS\r\n", b"t3 OK NOOP completed\r\n"]
-    # the UID pass finds the one miss; one FETCH then reads all it needs
+    # one FETCH reads all the policy needs, the UID included
+    assert mock6.received_verbs() == ["NOOP", "FETCH"]
     [fetch] = _metadata_fetches(mock6)
     assert b"HEADER.FIELDS" in fetch and b"BODY.PEEK[TEXT]" in fetch
 
@@ -1492,8 +1520,7 @@ def test_reselect_forgets_the_decisions_of_expunged_messages(spouse_session, pro
     for uid in (10, 30):
         mock6.inject_expunge("INBOX", uid)
     assert b"* 3 EXISTS\r\n" in spouse_session.cmd(b"t3 SELECT INBOX\r\n")
-    [entry] = proxy6.decisions._entries.values()
-    assert sorted(entry) == [20, 40, 50, 60]
+    assert _saved(proxy6)[0] == [20, 40, 50, 60]
     assert proxy6.decisions._size == 4
 
 
@@ -1553,9 +1580,7 @@ def test_expunge_and_arrival_at_one_count_fall_back_to_the_full_pass(
         b"* %d FETCH (UID %d)\r\n" % (virtual, u)
         for virtual, u in enumerate((10, 40, 60, uid), start=1)
     ]
-    [(key, entry)] = proxy6.decisions._entries.items()
-    assert 20 not in entry
-    assert list(proxy6.decisions.layout(key)) == [10, 30, 40, 50, 60, uid]
+    assert _saved(proxy6)[0] == [10, 30, 40, 50, 60, uid]
 
 
 def test_a_server_that_moves_the_last_uid_gets_the_full_pass(scripted_session):

@@ -1,5 +1,7 @@
 """Virtual sequence renumbering: frozen examples plus a shadow-model property."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -289,3 +291,45 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
         assert mapped.expand(len(rows) + 9) == mapped.expand(len(rows))
         probe = [uid for uid, _ in rows] + [1, next_uid]
         assert view.filter_uids(probe) == [uid for uid in probe if uid in visible_uids]
+
+
+@given(st.lists(st.booleans(), max_size=12), arrival_ops)
+def test_a_view_built_from_saved_slots_replays_like_one_built_row_by_row(initial, operations):
+    """Slots copied out of a view build an equal view, which then follows
+    expunges and arrivals as one built row by row from the final rows
+    would; changing it leaves the saved copy as it was."""
+    original = make_view("".join("V" if visible else "H" for visible in initial))
+    saved = original.slots()
+    kept = (array("I", saved[0]), bytes(saved[1]))
+    view = ViewMap.from_slots(saved, 4242)
+    rows = list(zip(original.decided_uids(), initial))
+    assert view.slots() == saved and view.entries() == original.entries()
+    assert not view.undecided()
+    next_uid = 10 * (len(rows) + 1)
+    pending = []
+    for op in operations:
+        if op[0] == "expunge":
+            if not rows and not pending:
+                continue
+            seq = (op[1] - 1) % (len(rows) + len(pending)) + 1
+            if seq <= len(rows):
+                del rows[seq - 1]
+            else:
+                del pending[seq - len(rows) - 1]
+            view.apply_upstream_expunge(seq)
+        elif op[0] == "exists":
+            for visible in op[1]:
+                pending.append((next_uid, visible))
+                next_uid += 10
+            view.note_exists(len(rows) + len(pending))
+        else:
+            view.extend_on_new(
+                (len(rows) + i, uid, V if vis else H) for i, (uid, vis) in enumerate(pending, 1)
+            )
+            rows += pending
+            pending = []
+    rebuilt = ViewMap([(i, uid, V if vis else H) for i, (uid, vis) in enumerate(rows, 1)], 4242)
+    assert view.slots() == rebuilt.slots()
+    assert view.entries() == rebuilt.entries() == shadow_entries(rows)
+    assert view.undecided() == range(len(rows) + 1, len(rows) + len(pending) + 1)
+    assert saved == kept
