@@ -22,8 +22,9 @@ from typing import Mapping, AbstractSet
 
 from .policy import PolicySet
 
-# Total slots held over all keys. A slot is a 4-byte UID and a visibility
-# byte, so the cache stays near 1 MB whatever the mailbox sizes.
+# Total slots held over all keys. A slot is a 4-byte UID, plus 4 bytes more
+# when it is visible, so the cache stays under 1.6 MB whatever the mailbox
+# sizes.
 CAP_UIDS = 200_000
 
 

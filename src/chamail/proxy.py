@@ -35,6 +35,7 @@ from .errors import (
     ChamailError,
     ClientGone,
     ImapSyntaxError,
+    InconsistentInput,
     LineTooLong,
     LiteralTooLarge,
     SessionAborted,
@@ -570,7 +571,11 @@ class ClientSession:
         if view is None or not view.undecided():
             return False
         while arrivals := view.undecided():
-            announced = view.extend_on_new(self._fetch_decisions(arrivals[0], arrivals[-1], known))
+            rows = self._fetch_decisions(arrivals[0], arrivals[-1], known)
+            try:
+                announced = view.extend_on_new(rows)
+            except InconsistentInput as exc:  # a UID not above the last
+                raise SessionAborted(f"arrival desync: {exc}") from exc
             known = ()
             if announce and announced is not None:
                 self._send(b"* %d EXISTS\r\n" % announced)
@@ -763,7 +768,7 @@ class ClientSession:
         view = restore
         if view is None:
             slots = self.server.decisions.load(self._decision_key(mailbox, uidvalidity))
-            view = ViewMap.from_slots(slots or ((), b""), uidvalidity)
+            view = ViewMap.from_slots(slots or ((), ()), uidvalidity)
         if view.uidvalidity != uidvalidity:
             raise SessionAborted("UIDVALIDITY changed mid-session")
         # The view is detached, so an EXISTS during this FETCH is kept here
@@ -951,20 +956,20 @@ class ClientSession:
         upstream_blob = f"{cmd.tag} {cmd.name} {mapped.render()} ".encode("ascii") + cmd.rest + CRLF
 
         def relay(resp) -> bool:
-            if not isinstance(resp, FetchData):
+            """Relay a UID FETCH row whose UID is its slot's; _absorb_stray takes the rest."""
+            if cmd.verb is Verb.FETCH or not isinstance(resp, FetchData):
                 return False
             try:
                 virtual = view.map_down_seq(resp.seq)
             except UnknownSeq as exc:
-                raise SessionAborted(f"fetch response desync: {exc}") from exc
+                raise SessionAborted(f"upstream fetch desync: {exc}") from exc
             if virtual is HIDDEN:
                 return True
-            if cmd.verb is Verb.UID_FETCH:
-                uid = dict(parse_fetch_attrs(resp.attrs)).get("UID")
-                if uid is None:  # an unsolicited update without its UID
-                    return True
-                if uid != view.decided_uids()[resp.seq - 1]:
-                    raise SessionAborted(f"fetch response desync: seq {resp.seq} has another UID")
+            uid = dict(parse_fetch_attrs(resp.attrs)).get("UID")
+            if uid is None:  # an unsolicited update without its UID
+                return True
+            if uid != view.decided_uids()[resp.seq - 1]:
+                raise SessionAborted(f"upstream fetch desync: seq {resp.seq} has another UID")
             self._send(b"* %d FETCH " % virtual + resp.attrs + CRLF)
             return True
 

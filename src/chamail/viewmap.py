@@ -17,8 +17,7 @@ shared across sessions; a copy of its slots is, through the decision cache.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import accumulate, compress
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 from .errors import InconsistentInput, UnknownSeq
@@ -52,9 +51,13 @@ class ViewMap:
     the seqs in undecided() follow them up to the announced EXISTS and
     count as HIDDEN. Only a seq beyond the announced EXISTS is unknown.
 
-    Lookups read two indexes, the running count of visible slots and the
-    visible UIDs; every update drops them and the next lookup rebuilds
-    them, so a lookup costs O(log N) and an update O(N).
+    The map holds two ascending UID arrays: the UIDs of the decided slots
+    in seq order, and the visible ones among them. UIDs ascend with seq
+    (RFC 3501 §2.3.1.1), so the v-th visible UID is virtual seq v, and
+    each translation is one bisect in the other array; a UID that is not
+    above the last is refused. An arrival appends to the arrays and an
+    expunge deletes its UID from each array that holds it, so there is
+    no index to rebuild.
     """
 
     def __init__(
@@ -65,55 +68,44 @@ class ViewMap:
         self.uidvalidity = uidvalidity
         # slot index i holds upstream seq i+1
         self._uids = array("I")
-        self._visible = bytearray()  # 1 where the sub-user may see the slot
+        self._visible = array("I")  # the UIDs the sub-user may see
         self._announced = 0  # the upstream's EXISTS; slots past _uids are undecided
         self._append(messages, "upstream seq")
 
     @classmethod
-    def from_slots(cls, slots: tuple[Sequence[int], bytes], uidvalidity: int) -> "ViewMap":
+    def from_slots(cls, slots: tuple[Sequence[int], Sequence[int]], uidvalidity: int) -> "ViewMap":
         """A map of the decided slots a view's slots() copied out."""
         view = cls((), uidvalidity)
         uids, visible = slots
-        view._uids, view._visible = array("I", uids), bytearray(visible)
+        view._uids, view._visible = array("I", uids), array("I", visible)
         view._announced = len(uids)
         return view
 
-    def slots(self) -> tuple[array, bytes]:
-        """A copy of the decided slots: their UIDs and visibility bytes."""
-        return array("I", self._uids), bytes(self._visible)
-
-    def _changed(self) -> None:
-        """Drop the lookup indexes; the next lookup rebuilds them."""
-        self._virtual_by_slot: list[int] | None = None
-        self._visible_uids: tuple[int, ...] | None = None
+    def slots(self) -> tuple[array, array]:
+        """A copy of the decided slots: their UIDs and the visible ones."""
+        return array("I", self._uids), array("I", self._visible)
 
     def _append(self, messages: Iterable[tuple[int, int, Decision]], what: str) -> bool:
         """Append slots in upstream order; True iff one of them is visible."""
-        self._changed()
-        any_visible = False
+        shown = len(self._visible)
         for upstream_seq, uid, decision in messages:
             if upstream_seq != len(self._uids) + 1:
                 raise InconsistentInput(
                     f"{what} {upstream_seq} breaks contiguity at {len(self._uids) + 1}"
                 )
-            visible = decision is Decision.VISIBLE
+            if self._uids and uid <= self._uids[-1]:
+                raise InconsistentInput(f"{what} {upstream_seq} has a UID not above the last")
             self._uids.append(uid)
-            self._visible.append(visible)
-            any_visible = any_visible or visible
+            if decision is Decision.VISIBLE:
+                self._visible.append(uid)
         self._announced = max(self._announced, len(self._uids))
-        return any_visible
-
-    def _virtual_index(self) -> list[int]:
-        """Slot i -> number of visible slots in 0..i (its virtual seq if visible)."""
-        if self._virtual_by_slot is None:
-            self._virtual_by_slot = list(accumulate(self._visible))
-        return self._virtual_by_slot
+        return len(self._visible) > shown
 
     # -- introspection ---------------------------------------------------
 
     def exists(self) -> int:
         """Number of messages the sub-user can see."""
-        return len(self.visible_uids())
+        return len(self._visible)
 
     def upstream_exists(self) -> int:
         """Number of decided upstream messages."""
@@ -128,23 +120,18 @@ class ViewMap:
         return self._uids
 
     def hidden_uids(self) -> frozenset[int]:
-        return frozenset(uid for uid, visible in zip(self._uids, self._visible) if not visible)
+        return frozenset(self._uids).difference(self._visible)
 
     def visible_uids(self) -> tuple[int, ...]:
         """UIDs of visible messages in mailbox order."""
-        if self._visible_uids is None:
-            self._visible_uids = tuple(compress(self._uids, self._visible))
-        return self._visible_uids
+        return tuple(self._visible)
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(virtual_seq, upstream_seq, uid) rows for every visible message."""
-        rows = []
-        virtual = 0
-        for idx, (uid, visible) in enumerate(zip(self._uids, self._visible)):
-            if visible:
-                virtual += 1
-                rows.append((virtual, idx + 1, uid))
-        return rows
+        return [
+            (virtual, bisect_left(self._uids, uid) + 1, uid)
+            for virtual, uid in enumerate(self._visible, start=1)
+        ]
 
     # -- sequence number translation --------------------------------------
 
@@ -158,11 +145,9 @@ class ViewMap:
         wholly out of range drop out and never reach the upstream server.
         """
         exists = self.exists()
-        virtual_by_slot = self._virtual_index()
 
         def upstream_seq(virtual: int) -> int:
-            # the first slot whose running count reaches v is the v-th visible one
-            return bisect_left(virtual_by_slot, virtual) + 1
+            return bisect_left(self._uids, self._visible[virtual - 1]) + 1
 
         ranges = []
         for lo, hi in virtual_set.ranges:
@@ -176,10 +161,9 @@ class ViewMap:
     def map_up_uids(self, uid_set: SequenceSet) -> SequenceSet:
         """A client UID set for the upstream: UIDs pass through and '*' is
         the largest *visible* UID. Empty when nothing is visible."""
-        visible = self.visible_uids()
-        if not visible:
+        if not self._visible:
             return SequenceSet(())
-        star = visible[-1]
+        star = self._visible[-1]
         ranges = [
             (star if lo is None else lo, star if hi is None else hi) for lo, hi in uid_set.ranges
         ]
@@ -194,13 +178,15 @@ class ViewMap:
         """
         if not 1 <= upstream_seq <= self._announced:
             raise UnknownSeq(f"upstream seq {upstream_seq} out of range")
-        if upstream_seq > len(self._uids) or not self._visible[upstream_seq - 1]:
+        if upstream_seq > len(self._uids):
             return HIDDEN
-        return self._virtual_index()[upstream_seq - 1]
+        uid = self._uids[upstream_seq - 1]
+        virtual = bisect_right(self._visible, uid)  # the visible UIDs up to uid
+        return virtual if virtual and self._visible[virtual - 1] == uid else HIDDEN
 
     def filter_uids(self, uids: Sequence[int]) -> list[int]:
         """Drop hidden and unknown UIDs, preserving input order."""
-        visible = set(self.visible_uids())
+        visible = set(self._visible)
         return [uid for uid in uids if uid in visible]
 
     # -- live updates ------------------------------------------------------
@@ -225,10 +211,11 @@ class ViewMap:
         translated = self.map_down_seq(upstream_seq)  # raises UnknownSeq if unannounced
         self._announced -= 1
         if upstream_seq <= len(self._uids):
-            self._changed()
             del self._uids[upstream_seq - 1]
-            del self._visible[upstream_seq - 1]
-        return None if translated is HIDDEN else translated
+        if translated is HIDDEN:
+            return None
+        del self._visible[translated - 1]
+        return translated
 
     def extend_on_new(
         self, new_messages: Iterable[tuple[int, int, Decision]]

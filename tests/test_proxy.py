@@ -860,7 +860,7 @@ def test_restore_after_status_checks_the_view_with_one_row(two_box):
             b"FETCH 5 (UID)\r\n",
         ]
         # and it saved the view without the message expunged before it
-        assert _saved(proxy) == ([10, 30, 40, 50, 60], b"\x01\x00\x01\x00\x01")
+        assert _saved(proxy) == ([10, 30, 40, 50, 60], [10, 40, 60])
         # so the re-SELECT checks one row too
         mock.clear_log()
         assert b"* 3 EXISTS\r\n" in client.cmd(b"t5 SELECT INBOX\r\n")
@@ -929,12 +929,12 @@ def test_policy_snapshot_held_until_reselect(spouse_session, store6):
 SPOUSE_BLACKLIST = (SenderConstraint(SenderMode.BLACKLIST, "exes"),)
 
 
-def _saved(proxy, mailbox="INBOX") -> tuple[list[int], bytes]:
-    """The UIDs and visibility bytes of the view last saved for *mailbox*."""
+def _saved(proxy, mailbox="INBOX") -> tuple[list[int], list[int]]:
+    """The UIDs and the visible UIDs of the view last saved for *mailbox*."""
     [(uids, visible)] = [
         saved for key, (saved, _count) in proxy.decisions._entries.items() if key[3] == mailbox
     ]
-    return list(uids), visible
+    return list(uids), list(visible)
 
 
 def _metadata_fetches(mock) -> list[bytes]:
@@ -1231,6 +1231,26 @@ def test_restore_refuses_a_uid_slipped_below_the_view(scripted_session):
     assert client._read() == b"* BYE session terminated\r\n"
     assert client._read() == b""
     assert _sent(upstream.lines[-3:]) == [b"EXAMINE INBOX", b"FETCH 3:4", b"FETCH 1:2"]
+
+
+@pytest.mark.parametrize(
+    "line, refusal",
+    [
+        (b"t2 NOOP\r\n", b"* BYE session terminated\r\n"),
+        (b"t2 SELECT INBOX\r\n", b"t2 NO cannot open mailbox with filtering guaranteed\r\n"),
+    ],
+    ids=["noop", "reselect"],
+)
+def test_an_arrival_with_a_uid_below_the_last_fails_closed(scripted_session, line, refusal):
+    box = {"exists": 2, "lie": False}
+    client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 2 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    # no honest server does this: a new message below UID 20
+    box.update(exists=3, uids={3: 15}, noop=b"* 3 EXISTS\r\n")
+    start = len(client.transcript)
+    client.send(line)
+    assert client._read() == refusal
+    assert bytes(client.transcript[start:]) == refusal
 
 
 def test_expunge_during_the_select_fetch_fails_the_select(scripted_session):

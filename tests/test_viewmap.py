@@ -128,6 +128,18 @@ def test_build_rejects_non_contiguous_input():
         ViewMap([(1, 10, V), (3, 30, V)], 1)
 
 
+def test_a_uid_not_above_the_last_is_refused():
+    """The bisects rely on UIDs ascending with seq (RFC 3501 §2.3.1.1)."""
+    for rows in ([(1, 10, V), (2, 10, H)], [(1, 20, H), (2, 10, V)]):
+        with pytest.raises(InconsistentInput):
+            ViewMap(rows, 1)
+    view = make_view("VH")
+    for uid in (20, 15):
+        with pytest.raises(InconsistentInput):
+            view.extend_on_new([(3, uid, V)])
+    assert view.slots() == make_view("VH").slots()
+
+
 def test_empty_mailbox():
     view = ViewMap([], 1)
     assert view.exists() == 0
@@ -219,8 +231,8 @@ arrival_ops = st.lists(
 
 @given(st.lists(st.booleans(), max_size=12), arrival_ops, st.data())
 def test_indexed_lookups_follow_updates(initial, operations, data):
-    """Every lookup served from the cached indexes agrees with the shadow
-    model after each update, and with lookups made before the update.
+    """Every lookup agrees with the shadow model after each update, also
+    when lookups were made before the update.
     Announced arrivals stay HIDDEN until an extend decides them; only a
     seq past the announced EXISTS is unknown."""
     next_uid = 1000
@@ -233,7 +245,7 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
         [(i + 1, uid, V if vis else H) for i, (uid, vis) in enumerate(rows)], 1
     )
     for op in operations:
-        view.map_up(parse_sequence_set("1:*"))  # build the indexes before each update
+        view.map_up(parse_sequence_set("1:*"))  # a lookup before each update
         if op[0] == "expunge":
             if not rows and not pending:
                 continue
@@ -300,7 +312,7 @@ def test_a_view_built_from_saved_slots_replays_like_one_built_row_by_row(initial
     would; changing it leaves the saved copy as it was."""
     original = make_view("".join("V" if visible else "H" for visible in initial))
     saved = original.slots()
-    kept = (array("I", saved[0]), bytes(saved[1]))
+    kept = (array("I", saved[0]), array("I", saved[1]))
     view = ViewMap.from_slots(saved, 4242)
     rows = list(zip(original.decided_uids(), initial))
     assert view.slots() == saved and view.entries() == original.entries()
