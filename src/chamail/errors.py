@@ -115,21 +115,6 @@ class LineTooLong(ChamailError):
     is never read, so the session cannot resynchronise and must end."""
 
 
-# -- view mapping ----------------------------------------------------------
-
-class ViewError(ChamailError):
-    pass
-
-
-class InconsistentInput(ViewError):
-    pass
-
-
-class UnknownSeq(ViewError):
-    """Upstream referenced a sequence number beyond the known mailbox
-    size: proxy state desync, the session must abort fail-closed."""
-
-
 # -- proxy / upstream ------------------------------------------------------
 
 class UpstreamUnavailable(ChamailError):
@@ -145,7 +130,23 @@ class ClientGone(ChamailError):
     ends at once, whatever it was waiting on."""
 
 
-# -- mock server -----------------------------------------------------------
+# -- view mapping ----------------------------------------------------------
+
+class ViewError(SessionAborted):
+    """The upstream contradicted the session's model of its mailbox. It is
+    a SessionAborted, so it fails the session closed wherever it rises."""
+
+
+class InconsistentInput(ViewError):
+    """Rows that break seq contiguity or UID ascent (RFC 3501 §2.3.1.1)."""
+
+
+class UnknownSeq(ViewError):
+    """A sequence number beyond what the upstream announced, or an EXISTS
+    below it."""
+
+
+# -- config and manifest files --------------------------------------------
 
 class ConfigError(ChamailError):
     """The proxy config file is missing, malformed, or inconsistent."""

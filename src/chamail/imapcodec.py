@@ -39,7 +39,6 @@ NO_MAILBOX_TEXT = "no mailbox selected"
 _TAG_RE = re.compile(rb"^[\x21-\x2a\x2c-\x7e]{1,32}$")  # visible ASCII, no '+'
 _ATOM_RE = re.compile(rb'[^(){ %*"\\\x00-\x1f\x7f-\xff]+')
 _VERB_RE = re.compile(rb"[A-Za-z0-9._-]+")
-_NUMBER_RE = re.compile(rb"[0-9]+")
 _LITERAL_TAIL_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n$")
 
 
@@ -543,19 +542,6 @@ class SearchData:
 
 
 @dataclass
-class StatusData:
-    mailbox: str
-    items: tuple[tuple[str, int], ...]
-    raw: bytes = field(default=b"", compare=False)
-
-
-@dataclass
-class CapabilityData:
-    tokens: tuple[str, ...]
-    raw: bytes = field(default=b"", compare=False)
-
-
-@dataclass
 class ListData:
     name: str  # LIST | LSUB
     payload: bytes
@@ -582,8 +568,6 @@ Response = (
     | ExpungeEvent
     | FetchData
     | SearchData
-    | StatusData
-    | CapabilityData
     | ListData
     | RawUntagged
     | Continuation
@@ -591,21 +575,6 @@ Response = (
 
 _UNTAGGED_NUM_RE = re.compile(rb"^(\d+) ([A-Za-z0-9.-]+)(?: |$)")
 _RESP_CODE_RE = re.compile(r"^\[([^\] ]+)(?: ([^\]]*))?\] ?")
-
-
-def _parse_status_items(raw: str) -> tuple[tuple[str, int], ...]:
-    raw = raw.strip()
-    if not raw.startswith("(") or not raw.endswith(")"):
-        raise ImapSyntaxError("STATUS items must be parenthesized")
-    tokens = raw[1:-1].split()
-    if len(tokens) % 2:
-        raise ImapSyntaxError("STATUS items must be name/number pairs")
-    items = []
-    for i in range(0, len(tokens), 2):
-        if not tokens[i + 1].isdigit():
-            raise ImapSyntaxError(f"bad STATUS count {tokens[i + 1]!r}")
-        items.append((tokens[i].upper(), int(tokens[i + 1])))
-    return tuple(items)
 
 
 def _parse_untagged(payload: bytes, raw: bytes) -> Response:
@@ -643,19 +612,6 @@ def _parse_untagged(payload: bytes, raw: bytes) -> Response:
                 raise ImapSyntaxError(f"bad SEARCH number {token!r}")
             numbers.append(int(token))
         return SearchData(tuple(numbers), raw=raw)
-    if keyword == b"STATUS":
-        text = _decode_text(tail_b)
-        if text.startswith('"'):
-            qm = re.match(r'"((?:[^"\\]|\\.)*)" ', text)
-            if not qm:
-                raise ImapSyntaxError("bad STATUS mailbox")
-            mailbox = re.sub(r"\\(.)", r"\1", qm.group(1))
-            items_raw = text[qm.end() :]
-        else:
-            mailbox, _, items_raw = text.partition(" ")
-        return StatusData(mailbox, _parse_status_items(items_raw), raw=raw)
-    if keyword == b"CAPABILITY":
-        return CapabilityData(tuple(_decode_text(tail_b).split()), raw=raw)
     if keyword in (b"LIST", b"LSUB"):
         return ListData(keyword.decode(), tail_b, raw=raw)
     return RawUntagged(payload, raw=raw)
@@ -748,11 +704,6 @@ def render_response(resp: Response) -> bytes:
     if isinstance(resp, SearchData):
         tail = b"".join(b" %d" % n for n in resp.numbers)
         return b"* SEARCH" + tail + CRLF
-    if isinstance(resp, StatusData):
-        items = " ".join(f"{name} {count}" for name, count in resp.items)
-        return b"* STATUS " + render_astring(resp.mailbox) + f" ({items})".encode("ascii") + CRLF
-    if isinstance(resp, CapabilityData):
-        return ("* CAPABILITY " + " ".join(resp.tokens)).encode("ascii") + CRLF
     if isinstance(resp, ListData):
         return b"* " + resp.name.encode("ascii") + b" " + resp.payload + CRLF
     if isinstance(resp, RawUntagged):

@@ -35,12 +35,10 @@ from .errors import (
     ChamailError,
     ClientGone,
     ImapSyntaxError,
-    InconsistentInput,
     LineTooLong,
     LiteralTooLarge,
     SessionAborted,
     StoreError,
-    UnknownSeq,
     UpstreamUnavailable,
 )
 from .imapcodec import (
@@ -74,7 +72,7 @@ from .policy import (
     sender_constraints_pass,
 )
 from .principal import Owner, Principal, SubUser
-from .viewmap import HIDDEN, ViewMap
+from .viewmap import ViewMap
 
 log = logging.getLogger("chamail.proxy")
 
@@ -532,29 +530,21 @@ class ClientSession:
 
     def _absorb_stray(self, resp) -> None:
         """Default handling for unsolicited upstream responses. The view
-        answers for every seq up to the last EXISTS; an arrival it has not
-        decided yet is HIDDEN."""
+        answers for every seq up to the last EXISTS, and an arrival it has
+        not decided yet counts as hidden; a seq it cannot answer for raises
+        a ViewError, which fails the session closed."""
         view = self.view
         if view is None:
             return
         if isinstance(resp, ExpungeEvent):
-            try:
-                virtual = view.apply_upstream_expunge(resp.seq)
-            except UnknownSeq as exc:
-                raise SessionAborted(f"upstream expunge desync: {exc}") from exc
+            virtual = view.apply_upstream_expunge(resp.seq)
             if virtual is not None:
                 self._send(b"* %d EXPUNGE\r\n" % virtual)
         elif isinstance(resp, Exists):
-            try:
-                view.note_exists(resp.count)
-            except UnknownSeq as exc:
-                raise SessionAborted(f"upstream EXISTS shrank without expunge: {exc}") from exc
+            view.note_exists(resp.count)
         elif isinstance(resp, FetchData):
-            try:
-                virtual = view.map_down_seq(resp.seq)
-            except UnknownSeq as exc:
-                raise SessionAborted(f"upstream fetch desync: {exc}") from exc
-            if virtual is not HIDDEN:
+            virtual = view.map_down_seq(resp.seq)
+            if virtual is not None:
                 self._send(b"* %d FETCH " % virtual + resp.attrs + CRLF)
         elif isinstance(resp, UntaggedStatus) and resp.code == "UIDVALIDITY":
             if resp.code_args.strip() != str(view.uidvalidity):
@@ -572,10 +562,7 @@ class ClientSession:
             return False
         while arrivals := view.undecided():
             rows = self._fetch_decisions(arrivals[0], arrivals[-1], known)
-            try:
-                announced = view.extend_on_new(rows)
-            except InconsistentInput as exc:  # a UID not above the last
-                raise SessionAborted(f"arrival desync: {exc}") from exc
+            announced = view.extend_on_new(rows)  # a UID not above the last raises
             known = ()
             if announce and announced is not None:
                 self._send(b"* %d EXISTS\r\n" % announced)
@@ -713,15 +700,12 @@ class ClientSession:
         """EXAMINE *mailbox* on the main connection.
 
         Returns (tagged, collected); when the upstream said OK, collected
-        holds the EXISTS and the UIDVALIDITY, and the UIDNEXT's text if the
-        server sent one.
+        holds the EXISTS, the UIDVALIDITY and the FLAGS lines.
         """
         assert self.upstream is not None
         tag = self.upstream.next_tag()
         examine = Command(tag=tag, verb=Verb.EXAMINE, name="EXAMINE", mailbox=mailbox)
-        collected: dict = {
-            "exists": None, "uidvalidity": None, "uidnext": None, "flags": [], "uid_codes": []
-        }
+        collected: dict = {"exists": None, "uidvalidity": None, "flags": []}
 
         def collect(resp) -> bool:
             if isinstance(resp, Exists):
@@ -729,10 +713,9 @@ class ClientSession:
             elif isinstance(resp, RawUntagged) and resp.payload.upper().startswith(b"FLAGS"):
                 collected["flags"].append(resp.raw)
             elif isinstance(resp, UntaggedStatus):
-                if resp.code in ("UIDVALIDITY", "UIDNEXT"):
-                    collected[resp.code.lower()] = resp.code_args.strip()
-                    collected["uid_codes"].append(resp.raw)
-                # PERMANENTFLAGS, UNSEEN hints, alerts: dropped
+                if resp.code == "UIDVALIDITY":
+                    collected["uidvalidity"] = resp.code_args.strip()
+                # UIDNEXT, PERMANENTFLAGS, UNSEEN hints, alerts: dropped
             elif not isinstance(resp, Recent):
                 return False
             return True
@@ -768,7 +751,7 @@ class ClientSession:
         view = restore
         if view is None:
             slots = self.server.decisions.load(self._decision_key(mailbox, uidvalidity))
-            view = ViewMap.from_slots(slots or ((), ()), uidvalidity)
+            view = ViewMap.from_slots(slots or ((), (), 1), uidvalidity)
         if view.uidvalidity != uidvalidity:
             raise SessionAborted("UIDVALIDITY changed mid-session")
         # The view is detached, so an EXISTS during this FETCH is kept here
@@ -813,12 +796,13 @@ class ClientSession:
             self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "SELECT failed")
             return
 
+        view = self.view
         for raw in collected["flags"]:
             self._send(raw)
-        self._send(b"* %d EXISTS\r\n" % self.view.exists())
+        self._send(b"* %d EXISTS\r\n" % view.exists())
         self._send(b"* 0 RECENT\r\n")
-        for raw in collected["uid_codes"]:
-            self._send(raw)
+        self._send(b"* OK [UIDVALIDITY %d] UIDs valid\r\n" % view.uidvalidity)
+        self._send(b"* OK [UIDNEXT %d] Predicted next UID\r\n" % view.uidnext())
         self._tagged(cmd.tag, "OK", f"[READ-ONLY] {completion_text(cmd.name)}")
 
     def _subuser_close(self, cmd: Command) -> None:
@@ -894,10 +878,10 @@ class ClientSession:
         Returns the EXAMINE's tagged reply (None if it failed in transit)
         and the values: MESSAGES counts the visible messages, UNSEEN how
         many of them a `SEARCH UNSEEN` hits when *unseen* asks (else 0),
-        UIDVALIDITY and UIDNEXT are the EXAMINE's and RECENT is 0; an item
-        the inspection could not answer is left out. The session goes on
-        either way. Raises SessionAborted only when the selected mailbox
-        cannot be restored.
+        UIDVALIDITY is the EXAMINE's, UIDNEXT the view's (a hidden arrival
+        never moves it) and RECENT is 0; an item the inspection could not
+        answer is left out. The session goes on either way. Raises
+        SessionAborted only when the selected mailbox cannot be restored.
         """
         if self.active_policy is None or self.active_lists is None:
             # no selection has pinned a snapshot yet
@@ -907,21 +891,20 @@ class ClientSession:
 
         tagged, values = None, {}
         try:
-            tagged, collected = self._open(target)
+            tagged, _collected = self._open(target)
             # Detached, so no stray reply about the target reaches the client.
             view, self.view, self.selected_mailbox = self.view, None, None
             if view is not None:
                 hits = self._own_command("SEARCH UNSEEN") if unseen and view.exists() else []
                 decided = range(1, view.upstream_exists() + 1)
-                hits = [s for s in hits if s in decided and view.map_down_seq(s) is not HIDDEN]
+                hits = [s for s in hits if s in decided and view.map_down_seq(s) is not None]
                 values = {
                     "MESSAGES": view.exists(),
                     "UNSEEN": len(hits),
                     "RECENT": 0,
                     "UIDVALIDITY": view.uidvalidity,
+                    "UIDNEXT": view.uidnext(),
                 }
-                if (uidnext := collected["uidnext"] or "").isdigit():  # it is optional
-                    values["UIDNEXT"] = int(uidnext)
         except SessionAborted as exc:
             log.warning("STATUS inspection of %r failed: %s", target, exc)
 
@@ -959,11 +942,8 @@ class ClientSession:
             """Relay a UID FETCH row whose UID is its slot's; _absorb_stray takes the rest."""
             if cmd.verb is Verb.FETCH or not isinstance(resp, FetchData):
                 return False
-            try:
-                virtual = view.map_down_seq(resp.seq)
-            except UnknownSeq as exc:
-                raise SessionAborted(f"upstream fetch desync: {exc}") from exc
-            if virtual is HIDDEN:
+            virtual = view.map_down_seq(resp.seq)
+            if virtual is None:  # a hidden row is never parsed
                 return True
             uid = dict(parse_fetch_attrs(resp.attrs)).get("UID")
             if uid is None:  # an unsolicited update without its UID
@@ -1011,14 +991,7 @@ class ClientSession:
         if cmd.verb is Verb.UID_SEARCH:
             mapped = view.filter_uids(hits)
         else:
-            mapped = []
-            for seq in hits:
-                try:
-                    virtual = view.map_down_seq(seq)
-                except UnknownSeq as exc:
-                    raise SessionAborted(f"search result desync: {exc}") from exc
-                if virtual is not HIDDEN:
-                    mapped.append(virtual)
+            mapped = [v for seq in hits if (v := view.map_down_seq(seq)) is not None]
         self._send(imapcodec.render_response(SearchData(tuple(mapped))))
         self._send(tagged.raw)
 

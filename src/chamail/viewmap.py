@@ -7,8 +7,10 @@ side of the socket. UIDs pass through unchanged for visible messages
 
 The map models the whole upstream mailbox as this session knows it. Slots
 past the decided ones, up to the last EXISTS the upstream announced, are
-undecided arrivals: they are HIDDEN until extend_on_new decides them, so a
-reply about a message nobody has evaluated yet never reaches the client.
+undecided arrivals: they count as hidden until extend_on_new decides them,
+so a reply about a message nobody has evaluated yet never reaches the
+client. A seq the map cannot answer for raises a ViewError, which is a
+SessionAborted: the session's model has desynced, and it fails closed.
 
 The map lives for one selected mailbox in one session and is never
 shared across sessions; a copy of its slots is, through the decision cache.
@@ -25,31 +27,13 @@ from .imapcodec import SequenceSet
 from .policy import Decision
 
 
-class _HiddenType:
-    """Marker returned by map_down_seq for upstream messages the sub-user
-    must not learn about."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "HIDDEN"
-
-
-HIDDEN = _HiddenType()
-
-
 class ViewMap:
     """Bijection between virtual sequence numbers and visible upstream
     messages, updated live as the upstream mailbox changes.
 
     Upstream seqs 1..upstream_exists() are decided, VISIBLE or HIDDEN;
     the seqs in undecided() follow them up to the announced EXISTS and
-    count as HIDDEN. Only a seq beyond the announced EXISTS is unknown.
+    count as hidden. Only a seq beyond the announced EXISTS is unknown.
 
     The map holds two ascending UID arrays: the UIDs of the decided slots
     in seq order, and the visible ones among them. UIDs ascend with seq
@@ -58,6 +42,9 @@ class ViewMap:
     above the last is refused. An arrival appends to the arrays and an
     expunge deletes its UID from each array that holds it, so there is
     no index to rebuild.
+
+    The view's UIDNEXT is one above the largest UID it ever showed, and
+    an expunge never lowers it, so a hidden arrival never moves it.
     """
 
     def __init__(
@@ -70,20 +57,24 @@ class ViewMap:
         self._uids = array("I")
         self._visible = array("I")  # the UIDs the sub-user may see
         self._announced = 0  # the upstream's EXISTS; slots past _uids are undecided
+        self._uidnext = 1
         self._append(messages, "upstream seq")
 
     @classmethod
-    def from_slots(cls, slots: tuple[Sequence[int], Sequence[int]], uidvalidity: int) -> "ViewMap":
+    def from_slots(
+        cls, slots: tuple[Sequence[int], Sequence[int], int], uidvalidity: int
+    ) -> "ViewMap":
         """A map of the decided slots a view's slots() copied out."""
         view = cls((), uidvalidity)
-        uids, visible = slots
+        uids, visible, view._uidnext = slots
         view._uids, view._visible = array("I", uids), array("I", visible)
         view._announced = len(uids)
         return view
 
-    def slots(self) -> tuple[array, array]:
-        """A copy of the decided slots: their UIDs and the visible ones."""
-        return array("I", self._uids), array("I", self._visible)
+    def slots(self) -> tuple[array, array, int]:
+        """A copy of the decided slots: their UIDs, the visible ones and
+        the view's UIDNEXT."""
+        return array("I", self._uids), array("I", self._visible), self._uidnext
 
     def _append(self, messages: Iterable[tuple[int, int, Decision]], what: str) -> bool:
         """Append slots in upstream order; True iff one of them is visible."""
@@ -98,6 +89,7 @@ class ViewMap:
             self._uids.append(uid)
             if decision is Decision.VISIBLE:
                 self._visible.append(uid)
+                self._uidnext = max(self._uidnext, uid + 1)
         self._announced = max(self._announced, len(self._uids))
         return len(self._visible) > shown
 
@@ -121,6 +113,10 @@ class ViewMap:
 
     def hidden_uids(self) -> frozenset[int]:
         return frozenset(self._uids).difference(self._visible)
+
+    def uidnext(self) -> int:
+        """The sub-user's UIDNEXT: above every UID the view has shown."""
+        return self._uidnext
 
     def visible_uids(self) -> tuple[int, ...]:
         """UIDs of visible messages in mailbox order."""
@@ -169,20 +165,20 @@ class ViewMap:
         ]
         return SequenceSet(tuple(ranges))
 
-    def map_down_seq(self, upstream_seq: int):
-        """Virtual sequence number for *upstream_seq*, or HIDDEN (also for
-        an undecided arrival).
+    def map_down_seq(self, upstream_seq: int) -> int | None:
+        """Virtual sequence number for *upstream_seq*, or None when it is
+        hidden or an undecided arrival.
 
         A sequence number beyond what upstream has announced means this
-        session's model has desynced; that is not survivable.
+        session's model has desynced: UnknownSeq, which fails closed.
         """
         if not 1 <= upstream_seq <= self._announced:
             raise UnknownSeq(f"upstream seq {upstream_seq} out of range")
         if upstream_seq > len(self._uids):
-            return HIDDEN
+            return None
         uid = self._uids[upstream_seq - 1]
         virtual = bisect_right(self._visible, uid)  # the visible UIDs up to uid
-        return virtual if virtual and self._visible[virtual - 1] == uid else HIDDEN
+        return virtual if virtual and self._visible[virtual - 1] == uid else None
 
     def filter_uids(self, uids: Sequence[int]) -> list[int]:
         """Drop hidden and unknown UIDs, preserving input order."""
@@ -212,9 +208,8 @@ class ViewMap:
         self._announced -= 1
         if upstream_seq <= len(self._uids):
             del self._uids[upstream_seq - 1]
-        if translated is HIDDEN:
-            return None
-        del self._visible[translated - 1]
+        if translated is not None:
+            del self._visible[translated - 1]
         return translated
 
     def extend_on_new(

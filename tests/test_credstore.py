@@ -1,6 +1,7 @@
 """Credential store: accounts, sub-users, lists, authentication, persistence."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_reload_roundtrip(tmp_path, account, cs):
     cs.add_subuser("person@gmail.com", "spouse", "catsanddogs", policy)
 
     # older v1 files also stored an always-true "readonly" per sub-user
-    payload = json.loads(open(cs.path).read())
+    payload = json.loads(pathlib.Path(cs.path).read_text())
     payload["accounts"][0]["subusers"][0]["readonly"] = True
     older = tmp_path / "older.json"
     older.write_text(json.dumps(payload))
@@ -220,13 +221,13 @@ def test_reload_roundtrip(tmp_path, account, cs):
 
 def test_store_file_has_no_plaintext_secrets(cs, account):
     cs.add_subuser("person@gmail.com", "spouse", "catsanddogs")
-    blob = open(cs.path, "rb").read()
+    blob = pathlib.Path(cs.path).read_bytes()
     for secret in (b"appleball", b"catsanddogs", b"upstream-pw-123"):
         assert secret not in blob
 
 
 def test_store_file_is_json_with_version(cs, account):
-    payload = json.loads(open(cs.path).read())
+    payload = json.loads(pathlib.Path(cs.path).read_text())
     assert payload["version"] == 1
     assert payload["accounts"][0]["email"] == "person@gmail.com"
 
@@ -234,7 +235,7 @@ def test_store_file_is_json_with_version(cs, account):
 def test_kdf_params_are_stored_per_credential(cs, account):
     # records remember their own cost parameters, so defaults can change
     # later without breaking verification
-    payload = json.loads(open(cs.path).read())
+    payload = json.loads(pathlib.Path(cs.path).read_text())
     kdf = payload["accounts"][0]["owner_credential"]["kdf"]
     assert kdf["memory_cost"] == FAST_KDF.memory_cost
     assert kdf["time_cost"] == FAST_KDF.time_cost

@@ -10,7 +10,6 @@ from reference_imapcodec import reference_parse_fetch_attrs
 from chamail.errors import ImapSyntaxError, LiteralTooLarge
 from chamail.imapcodec import (
     LITERAL_CAP,
-    CapabilityData,
     Command,
     Continuation,
     Exists,
@@ -21,7 +20,6 @@ from chamail.imapcodec import (
     Recent,
     SearchData,
     SequenceSet,
-    StatusData,
     Tagged,
     UntaggedStatus,
     Verb,
@@ -320,17 +318,17 @@ def test_parse_search():
     assert parse_response(b"* SEARCH\r\n") == SearchData(())
 
 
-def test_parse_status():
-    r = parse_response(b'* STATUS "My Folder" (MESSAGES 4 UNSEEN 3)\r\n')
-    assert isinstance(r, StatusData)
-    assert r.mailbox == "My Folder"
-    assert r.items == (("MESSAGES", 4), ("UNSEEN", 3))
-
-
-def test_parse_capability():
-    r = parse_response(b"* CAPABILITY IMAP4rev1 AUTH=PLAIN\r\n")
-    assert isinstance(r, CapabilityData)
-    assert r.tokens == ("IMAP4rev1", "AUTH=PLAIN")
+def test_status_and_capability_replies_stay_raw():
+    """The proxy never reads an upstream STATUS or CAPABILITY reply, so
+    both parse as RawUntagged and render back byte for byte."""
+    for blob in (
+        b'* STATUS "My Folder" (MESSAGES 4 UNSEEN 3)\r\n',
+        b"* CAPABILITY IMAP4rev1 AUTH=PLAIN\r\n",
+    ):
+        r = parse_response(blob)
+        assert isinstance(r, RawUntagged)
+        assert r.payload == blob[2:-2]
+        assert render_response(r) == render_response(RawUntagged(r.payload)) == blob
 
 
 def test_parse_list_data():

@@ -699,6 +699,41 @@ def test_uid_star_is_largest_visible_after_hidden_arrival(spouse_session, mock6)
     assert spouse_session.cmd(b"t5 UID SEARCH UID 65:*\r\n")[0] == b"* SEARCH 60\r\n"
 
 
+def test_a_hidden_arrival_never_moves_the_subusers_uidnext(spouse_session, connect, mock6):
+    """UIDNEXT is one above the largest UID the sub-user was ever shown:
+    a hidden arrival leaves it, a visible one raises it, an expunge never
+    lowers it, and a session that starts from the saved view keeps it."""
+
+    def uidnext(client, tag=b"s") -> bytes:
+        out = client.cmd(tag + b" STATUS INBOX (UIDNEXT)\r\n")
+        assert out[-1] == tag + b" OK STATUS completed\r\n"
+        return out[0]
+
+    def select(client) -> list[bytes]:
+        return [line for line in client.cmd(b"t SELECT INBOX\r\n") if b"UIDNEXT" in line]
+
+    assert uidnext(spouse_session) == b"* STATUS INBOX (UIDNEXT 61)\r\n"
+    assert select(spouse_session) == [b"* OK [UIDNEXT 61] Predicted next UID\r\n"]
+    assert mock6.inject_new_message("INBOX", HIDDEN_ARRIVAL) == 61
+    assert spouse_session.cmd(b"t3 NOOP\r\n") == [b"t3 OK NOOP completed\r\n"]
+    assert uidnext(spouse_session) == b"* STATUS INBOX (UIDNEXT 61)\r\n"
+    assert select(spouse_session) == [b"* OK [UIDNEXT 61] Predicted next UID\r\n"]
+
+    assert mock6.inject_new_message("INBOX", VISIBLE_ARRIVAL) == 62
+    assert spouse_session.cmd(b"t4 NOOP\r\n") == [b"* 5 EXISTS\r\n", b"t4 OK NOOP completed\r\n"]
+    assert uidnext(spouse_session) == b"* STATUS INBOX (UIDNEXT 63)\r\n"
+    mock6.inject_expunge("INBOX", 62)
+    assert spouse_session.cmd(b"t5 NOOP\r\n") == [b"* 5 EXPUNGE\r\n", b"t5 OK NOOP completed\r\n"]
+    assert uidnext(spouse_session) == b"* STATUS INBOX (UIDNEXT 63)\r\n"
+    assert select(spouse_session) == [b"* OK [UIDNEXT 63] Predicted next UID\r\n"]
+
+    spouse_session.cmd(b"t6 LOGOUT\r\n")  # the mock serves one connection at a time
+    other = connect()
+    assert other.cmd(b"t1 LOGIN person@gmail.com catsanddogs\r\n")[-1].startswith(b"t1 OK")
+    assert select(other) == [b"* OK [UIDNEXT 63] Predicted next UID\r\n"]
+    assert uidnext(other) == b"* STATUS INBOX (UIDNEXT 63)\r\n"
+
+
 def test_upstream_drop_terminates_session(spouse_session, mock6):
     spouse_session.cmd(b"t2 SELECT INBOX\r\n")
     mock6.drop_connection()
@@ -860,7 +895,7 @@ def test_restore_after_status_checks_the_view_with_one_row(two_box):
             b"FETCH 5 (UID)\r\n",
         ]
         # and it saved the view without the message expunged before it
-        assert _saved(proxy) == ([10, 30, 40, 50, 60], [10, 40, 60])
+        assert _saved(proxy) == ([10, 30, 40, 50, 60], [10, 40, 60], 61)
         # so the re-SELECT checks one row too
         mock.clear_log()
         assert b"* 3 EXISTS\r\n" in client.cmd(b"t5 SELECT INBOX\r\n")
@@ -929,12 +964,13 @@ def test_policy_snapshot_held_until_reselect(spouse_session, store6):
 SPOUSE_BLACKLIST = (SenderConstraint(SenderMode.BLACKLIST, "exes"),)
 
 
-def _saved(proxy, mailbox="INBOX") -> tuple[list[int], list[int]]:
-    """The UIDs and the visible UIDs of the view last saved for *mailbox*."""
-    [(uids, visible)] = [
+def _saved(proxy, mailbox="INBOX") -> tuple[list[int], list[int], int]:
+    """The UIDs, the visible UIDs and the UIDNEXT of the view last saved
+    for *mailbox*."""
+    [(uids, visible, uidnext)] = [
         saved for key, (saved, _count) in proxy.decisions._entries.items() if key[3] == mailbox
     ]
-    return list(uids), list(visible)
+    return list(uids), list(visible), uidnext
 
 
 def _metadata_fetches(mock) -> list[bytes]:
@@ -1175,6 +1211,7 @@ def test_exists_during_the_select_fetch_is_decided(scripted_session):
         b"* 3 EXISTS\r\n",
         b"* 0 RECENT\r\n",
         b"* OK [UIDVALIDITY 9] UIDs valid\r\n",
+        b"* OK [UIDNEXT 41] Predicted next UID\r\n",
         b"t1 OK [READ-ONLY] SELECT completed\r\n",
     ]
     assert client.cmd(b"t2 SEARCH ALL\r\n") == [b"* SEARCH 1 2 3\r\n", b"t2 OK SEARCH completed\r\n"]
@@ -1251,6 +1288,30 @@ def test_an_arrival_with_a_uid_below_the_last_fails_closed(scripted_session, lin
     client.send(line)
     assert client._read() == refusal
     assert bytes(client.transcript[start:]) == refusal
+
+
+@pytest.mark.parametrize(
+    "noop, exists",
+    [
+        (b"* 9 EXPUNGE\r\n", 3),
+        (b"* 1 EXISTS\r\n", 3),
+        (b"* 9 FETCH (FLAGS ())\r\n", 3),
+        (None, 5),
+    ],
+    ids=["expunge-past-exists", "exists-shrinks", "fetch-past-exists", "search-hit-past-exists"],
+)
+def test_a_reply_the_view_cannot_place_ends_the_session(scripted_session, noop, exists):
+    """A seq beyond the announced EXISTS, or an EXISTS that shrank without
+    an EXPUNGE, is a desync the view refuses: the session fails closed."""
+    box = {"exists": 3, "lie": False}
+    client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    assert b"* 3 EXISTS\r\n" in client.cmd(b"t1 SELECT INBOX\r\n")
+    box.update(exists=exists, noop=noop)  # SEARCH hits every seq up to box["exists"]
+    start = len(client.transcript)
+    client.send(b"t2 NOOP\r\n" if noop else b"t2 SEARCH ALL\r\n")
+    assert client._read() == b"* BYE session terminated\r\n"
+    assert client._read() == b""
+    assert bytes(client.transcript[start:]) == b"* BYE session terminated\r\n"
 
 
 def test_expunge_during_the_select_fetch_fails_the_select(scripted_session):
@@ -1644,14 +1705,14 @@ def test_expunge_during_the_status_search_fails_only_the_status(scripted_session
     assert b"* 2 EXISTS\r\n" in client.cmd(b"t4 SELECT INBOX\r\n")
 
 
-def test_status_uidnext_needs_the_examine_to_carry_it(scripted_session):
+def test_status_uidnext_is_the_views_and_needs_none_from_the_examine(scripted_session):
     # _scripted_mailbox's EXAMINE sends [UIDVALIDITY] but no [UIDNEXT]
-    box = {"exists": 3, "lie": False}
+    box = {"exists": 3, "lie": False, "hidden": {3}}
     client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
     out = client.cmd(b"t1 STATUS INBOX (UIDNEXT)\r\n")
-    assert out == [b"t1 NO cannot inspect mailbox with filtering guaranteed\r\n"]
+    assert out == [b"* STATUS INBOX (UIDNEXT 21)\r\n", b"t1 OK STATUS completed\r\n"]
     out = client.cmd(b"t2 STATUS INBOX (MESSAGES UIDVALIDITY)\r\n")
-    assert out[0] == b"* STATUS INBOX (MESSAGES 3 UIDVALIDITY 9)\r\n"
+    assert out[0] == b"* STATUS INBOX (MESSAGES 2 UIDVALIDITY 9)\r\n"
 
 
 # -- the write path: one flush before each wait ------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from chamail.errors import InconsistentInput, UnknownSeq
 from chamail.imapcodec import parse_sequence_set
 from chamail.policy import Decision
-from chamail.viewmap import HIDDEN, ViewMap
+from chamail.viewmap import ViewMap
 
 V, H = Decision.VISIBLE, Decision.HIDDEN
 
@@ -47,7 +47,7 @@ def test_uid_partition():
 def test_map_down():
     view = make_view(MIXED)
     assert view.map_down_seq(1) == 1
-    assert view.map_down_seq(3) is HIDDEN
+    assert view.map_down_seq(3) is None
     assert view.map_down_seq(4) == 3
     assert view.map_down_seq(6) == 4
     with pytest.raises(UnknownSeq):
@@ -233,7 +233,7 @@ arrival_ops = st.lists(
 def test_indexed_lookups_follow_updates(initial, operations, data):
     """Every lookup agrees with the shadow model after each update, also
     when lookups were made before the update.
-    Announced arrivals stay HIDDEN until an extend decides them; only a
+    Announced arrivals stay hidden until an extend decides them; only a
     seq past the announced EXISTS is unknown."""
     next_uid = 1000
     rows = []
@@ -289,7 +289,7 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
         assert view.visible_uids() == visible_uids
         assert view.exists() == len(shadow)
         for upstream in range(1, announced_count + 1):
-            assert view.map_down_seq(upstream) == virtual_of.get(upstream, HIDDEN)
+            assert view.map_down_seq(upstream) == virtual_of.get(upstream)
         assert view.filter_uids([uid for uid, _ in rows]) == list(visible_uids)
         number = st.one_of(st.integers(1, len(shadow) + 2).map(str), st.just("*"))
         item = st.one_of(number, st.tuples(number, number).map(":".join))
@@ -309,12 +309,15 @@ def test_indexed_lookups_follow_updates(initial, operations, data):
 def test_a_view_built_from_saved_slots_replays_like_one_built_row_by_row(initial, operations):
     """Slots copied out of a view build an equal view, which then follows
     expunges and arrivals as one built row by row from the final rows
-    would; changing it leaves the saved copy as it was."""
+    would; changing it leaves the saved copy as it was. Its UIDNEXT is
+    one above the largest UID it ever showed, which an expunge or a
+    hidden arrival never moves."""
     original = make_view("".join("V" if visible else "H" for visible in initial))
     saved = original.slots()
-    kept = (array("I", saved[0]), array("I", saved[1]))
+    kept = (array("I", saved[0]), array("I", saved[1]), saved[2])
     view = ViewMap.from_slots(saved, 4242)
     rows = list(zip(original.decided_uids(), initial))
+    shown = max((uid for uid, visible in rows if visible), default=0)
     assert view.slots() == saved and view.entries() == original.entries()
     assert not view.undecided()
     next_uid = 10 * (len(rows) + 1)
@@ -339,9 +342,11 @@ def test_a_view_built_from_saved_slots_replays_like_one_built_row_by_row(initial
                 (len(rows) + i, uid, V if vis else H) for i, (uid, vis) in enumerate(pending, 1)
             )
             rows += pending
+            shown = max([shown] + [uid for uid, visible in pending if visible])
             pending = []
     rebuilt = ViewMap([(i, uid, V if vis else H) for i, (uid, vis) in enumerate(rows, 1)], 4242)
-    assert view.slots() == rebuilt.slots()
+    assert view.slots()[:2] == rebuilt.slots()[:2]
+    assert view.uidnext() == shown + 1 >= rebuilt.uidnext()
     assert view.entries() == rebuilt.entries() == shadow_entries(rows)
     assert view.undecided() == range(len(rows) + 1, len(rows) + len(pending) + 1)
     assert saved == kept
