@@ -2,8 +2,8 @@
 
 Commands are parsed just deeply enough to route and rewrite them: LOGIN
 credentials, mailbox names, and leading sequence-sets come out structured,
-everything else stays raw bytes so owner passthrough is byte-exact.
-Unknown verbs become OTHER and round-trip verbatim. FETCH response
+everything else stays raw bytes; owner commands after LOGIN are piped
+unparsed. Unknown verbs become OTHER and round-trip verbatim. FETCH response
 attributes are opaque bytes except the leading sequence number; the proxy
 never needs to understand ENVELOPE or BODY structure to renumber.
 
@@ -436,13 +436,15 @@ def parse_sequence_set(text: str) -> SequenceSet:
 
 # -- SEARCH criteria -------------------------------------------------------------
 
-# RFC 3501 §6.4.4 keys that take arguments, with how many. NOT and OR take
-# search keys, which are scanned like any others; UID takes a sequence set.
-_SEARCH_KEY_ARGS = dict.fromkeys(
-    b"BCC BEFORE BODY CC CHARSET FROM KEYWORD LARGER ON SENTBEFORE SENTON SENTSINCE SINCE"
-    b" SMALLER SUBJECT TEXT TO UNKEYWORD".split(),
-    1,
-) | {b"HEADER": 2}
+# The RFC 3501 §6.4.4 keys, with how many arguments each takes. NOT and OR
+# take search keys, which are scanned like any others; UID takes a sequence set.
+_SEARCH_KEY_ARGS = {
+    **dict.fromkeys(b"ALL ANSWERED DELETED DRAFT FLAGGED NEW NOT OLD OR RECENT SEEN".split(), 0),
+    **dict.fromkeys(b"UID UNANSWERED UNDELETED UNDRAFT UNFLAGGED UNSEEN".split(), 0),
+    **dict.fromkeys(b"BCC BEFORE BODY CC CHARSET FROM KEYWORD LARGER ON SENTBEFORE".split(), 1),
+    **dict.fromkeys(b"SENTON SENTSINCE SINCE SMALLER SUBJECT TEXT TO UNKEYWORD".split(), 1),
+    b"HEADER": 2,
+}
 # a literal (its body follows), a quoted string, an atom, or a delimiter
 _SEARCH_TOKEN_RE = re.compile(rb'\{(\d+)\+?\}\r\n|"(?:[^"\\]|\\.)*"|[^ ()"{]+|[ ()]')
 _SEQ_SET_TOKEN_RE = re.compile(rb"[0-9*][0-9:,*]*")
@@ -458,8 +460,9 @@ def map_search_sets(
 
     A bare sequence set goes through *map_seqs* and the set after UID
     through *map_uids*. Quoted strings, literals and the arguments of the
-    keys that take them are passed over. A set that maps to nothing, or
-    criteria that cannot be scanned, raise ImapSyntaxError.
+    keys that take them are passed over. A set that maps to nothing, a key
+    outside RFC 3501 (CONDSTORE's MODSEQ, say) or criteria that cannot be
+    scanned raise ImapSyntaxError.
     """
     out = bytearray()
     pos = 0
@@ -483,8 +486,10 @@ def map_search_sets(
                 raise ImapSyntaxError("invalid sequence set")
             token = mapped.render().encode("ascii")
             after_uid = False
-        elif not literal and token[:1] != b'"':
-            skip = _SEARCH_KEY_ARGS.get(token.upper(), 0)
+        elif literal or token[:1] == b'"' or token.upper() not in _SEARCH_KEY_ARGS:
+            raise ImapSyntaxError(f"unknown SEARCH key {token[:20]!r}")
+        else:
+            skip = _SEARCH_KEY_ARGS[token.upper()]
             after_uid = token.upper() == b"UID"
         out += token
     return bytes(out)
@@ -517,12 +522,6 @@ class Exists:
 
 
 @dataclass
-class Recent:
-    count: int
-    raw: bytes = field(default=b"", compare=False)
-
-
-@dataclass
 class ExpungeEvent:
     seq: int
     raw: bytes = field(default=b"", compare=False)
@@ -542,13 +541,6 @@ class SearchData:
 
 
 @dataclass
-class ListData:
-    name: str  # LIST | LSUB
-    payload: bytes
-    raw: bytes = field(default=b"", compare=False)
-
-
-@dataclass
 class RawUntagged:
     payload: bytes
     raw: bytes = field(default=b"", compare=False)
@@ -564,11 +556,9 @@ Response = (
     Tagged
     | UntaggedStatus
     | Exists
-    | Recent
     | ExpungeEvent
     | FetchData
     | SearchData
-    | ListData
     | RawUntagged
     | Continuation
 )
@@ -585,8 +575,6 @@ def _parse_untagged(payload: bytes, raw: bytes) -> Response:
         tail = payload[m.end() :]
         if keyword == b"EXISTS" and not tail:
             return Exists(number, raw=raw)
-        if keyword == b"RECENT" and not tail:
-            return Recent(number, raw=raw)
         if keyword == b"EXPUNGE" and not tail:
             return ExpungeEvent(number, raw=raw)
         if keyword == b"FETCH":
@@ -612,8 +600,6 @@ def _parse_untagged(payload: bytes, raw: bytes) -> Response:
                 raise ImapSyntaxError(f"bad SEARCH number {token!r}")
             numbers.append(int(token))
         return SearchData(tuple(numbers), raw=raw)
-    if keyword in (b"LIST", b"LSUB"):
-        return ListData(keyword.decode(), tail_b, raw=raw)
     return RawUntagged(payload, raw=raw)
 
 
@@ -695,8 +681,6 @@ def render_response(resp: Response) -> bytes:
         return " ".join(parts).encode("utf-8") + CRLF
     if isinstance(resp, Exists):
         return b"* %d EXISTS\r\n" % resp.count
-    if isinstance(resp, Recent):
-        return b"* %d RECENT\r\n" % resp.count
     if isinstance(resp, ExpungeEvent):
         return b"* %d EXPUNGE\r\n" % resp.seq
     if isinstance(resp, FetchData):
@@ -704,8 +688,6 @@ def render_response(resp: Response) -> bytes:
     if isinstance(resp, SearchData):
         tail = b"".join(b" %d" % n for n in resp.numbers)
         return b"* SEARCH" + tail + CRLF
-    if isinstance(resp, ListData):
-        return b"* " + resp.name.encode("ascii") + b" " + resp.payload + CRLF
     if isinstance(resp, RawUntagged):
         return b"* " + resp.payload + CRLF
     if isinstance(resp, Continuation):
@@ -746,6 +728,17 @@ def read_response_blob(stream) -> bytes:
 
 
 # -- FETCH attribute scanning ------------------------------------------------------
+
+# A sub-user's FETCH items (RFC 3501 §6.4.5): ALL, FAST, FULL, one fetch-att or a list of
+# them. An extension's item or modifier (CONDSTORE's CHANGEDSINCE) changes what comes back.
+_HEADER_FIELD = rb'(?:' + _ATOM_RE.pattern + rb'|"(?:[^"\\\r\n]|\\["\\])*")'
+_MSGTEXT = rb"HEADER\.FIELDS(?:\.NOT)? \(%s(?: %s)*\)|HEADER|TEXT" % (_HEADER_FIELD, _HEADER_FIELD)
+_FETCH_ATT = (
+    rb"(?:ENVELOPE|FLAGS|INTERNALDATE|RFC822(?:\.HEADER|\.SIZE|\.TEXT)?|BODYSTRUCTURE|UID|BODY"
+    rb"|BODY(?:\.PEEK)?\[(?:[1-9][0-9]*(?:\.[1-9][0-9]*)*(?:\.(?:MIME|%s))?|%s)?\]"
+    rb"(?:<[0-9]+\.[1-9][0-9]*>)?)" % (_MSGTEXT, _MSGTEXT)
+)
+FETCH_ITEMS_RE = re.compile(rb"ALL|FAST|FULL|%s|\(%s(?: %s)*\)" % ((_FETCH_ATT,) * 3), re.I)
 
 # One attribute: its name, then an atom or a parenthesized group with
 # nothing inside to skip, if its value is one; _fetch_value reads the rest.

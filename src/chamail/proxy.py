@@ -2,10 +2,10 @@
 
 A client connects, logs in with the account email plus any of the
 account's passwords, and the proxy resolves which principal that password
-belongs to. The owner gets a byte-transparent relay to the upstream
-server. A sub-user gets a read-only, policy-filtered mailbox: hidden
-messages are renumbered away, their UIDs never reach the client, and every
-mutating command dies at the proxy with a permission error.
+belongs to. The owner's session becomes a byte pipe once the upstream
+accepts its LOGIN. A sub-user gets a read-only, policy-filtered mailbox:
+hidden messages are renumbered away, their UIDs never reach the client,
+and every mutating command dies at the proxy with a permission error.
 
 Fail-closed rules, in one place:
   * policy metadata that cannot be fetched or parsed never degrades into
@@ -22,6 +22,7 @@ import contextlib
 import io
 import logging
 import re
+import selectors
 import socket
 import ssl
 import threading
@@ -48,9 +49,7 @@ from .imapcodec import (
     Exists,
     ExpungeEvent,
     FetchData,
-    ListData,
     RawUntagged,
-    Recent,
     SearchData,
     SequenceSet,
     Tagged,
@@ -248,9 +247,6 @@ class ClientSession:
     def _tagged(self, tag: str, status: str, text: str) -> None:
         self._send(f"{tag} {status} {text}\r\n".encode("utf-8"))
 
-    def _is_subuser(self) -> bool:
-        return isinstance(self.principal, SubUser)
-
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> None:
@@ -270,7 +266,7 @@ class ClientSession:
             log.warning("session from %s aborted: %s", self.peer, exc)
             with contextlib.suppress(ClientGone):
                 self._send(b"* BYE session terminated\r\n")
-        except (ClientGone, OSError) as exc:  # only the client's socket raises OSError here
+        except (ClientGone, OSError) as exc:  # the client's socket, or either in an owner's pipe
             log.info("client %s went away: %s", self.peer, exc)
         except Exception:
             log.exception("session from %s crashed", self.peer)
@@ -331,12 +327,11 @@ class ClientSession:
                 self._tagged(cmd.tag, "OK", completion_text(cmd.name))
             else:
                 self._tagged(cmd.tag, "NO", imapcodec.NOT_AUTHENTICATED_TEXT)
+            if isinstance(self.principal, Owner):
+                self._pipe()
+                return False
             return True
-
-        # authenticated states ------------------------------------------------
-        if self._is_subuser():
-            return self._dispatch_subuser(cmd)
-        return self._dispatch_owner(cmd)
+        return self._dispatch_subuser(cmd)
 
     # -- authentication ------------------------------------------------------------
 
@@ -424,43 +419,51 @@ class ClientSession:
         self.upstream_id = (host, port, target.upstream_login)
         self.principal = principal
         self.email = account.email
-        if isinstance(principal, Owner):
-            for blob in untagged:
-                self._send(blob)
-        if cmd.verb is Verb.LOGIN:
+        if isinstance(principal, Owner):  # a sub-user hears only the proxy
+            self._send(b"".join(untagged))
+        if isinstance(principal, Owner) and cmd.verb is Verb.LOGIN:
             self._send(tagged_blob)
-        else:  # AUTHENTICATE: upstream spoke LOGIN, the client did not
+        else:  # a sub-user, or AUTHENTICATE: the upstream spoke LOGIN, the client did not
             self._tagged(cmd.tag, "OK", completion_text(cmd.name))
         log.info("%s authenticated as %s from %s", account.email, principal, self.peer)
 
     def _handle_logout(self, cmd: Command) -> bool:
-        if self.upstream is not None and isinstance(self.principal, Owner):
-            try:
-                self._send(self.upstream.exchange(cmd.raw, cmd.tag, self._send))
-            except UpstreamUnavailable:
-                self._send(imapcodec.BYE_LINE)
-                self._tagged(cmd.tag, "OK", completion_text(cmd.name))
-            return False
         if self.upstream is not None:
-            try:
+            with contextlib.suppress(UpstreamUnavailable):
                 tag = self.upstream.next_tag()
                 self.upstream.exchange(f"{tag} LOGOUT\r\n".encode(), tag, lambda _reply: None)
-            except UpstreamUnavailable:
-                pass
         self._send(imapcodec.BYE_LINE)
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
         return False
 
-    # -- owner: transparent relay -----------------------------------------------
+    # -- owner: a byte pipe ----------------------------------------------------
 
-    def _dispatch_owner(self, cmd: Command) -> bool:
+    def _pipe(self) -> None:
+        """Copy bytes both ways, first what the readers already hold (commands
+        pipelined behind the LOGIN), until either side ends. One thread serves
+        both ways: an SSLSocket is not safe to read and write from two."""
         assert self.upstream is not None
-        try:
-            tagged_blob = self.upstream.exchange(cmd.raw, cmd.tag, self._send)
-        except UpstreamUnavailable as exc:
-            raise SessionAborted(f"upstream lost mid-command: {exc}") from exc
-        self._send(tagged_blob)
-        return True
+        ends = {self.conn: (self.rfile, self.upstream.wfile)}
+        ends[self.upstream.sock] = (self.upstream.rfile, self.wfile)
+
+        def relay(sock) -> bool:  # False at end of stream
+            rfile, wfile = ends[sock]
+            data = rfile.read1(1 << 16)
+            while data and isinstance(sock, ssl.SSLSocket) and (held := sock.pending()):
+                data += rfile.read1(held)  # decrypted already, so select would not see it
+            wfile.write(data)
+            wfile.flush()
+            return bool(data)
+
+        with selectors.DefaultSelector() as selector:
+            for sock in ends:
+                sock.settimeout(0)
+                with contextlib.suppress(ssl.SSLWantReadError):  # nothing held
+                    relay(sock)
+                sock.settimeout(None)
+                selector.register(sock, selectors.EVENT_READ)
+            while all(relay(key.fileobj) for key, _ in selector.select()):
+                pass
 
     # -- sub-user: filtered engine -------------------------------------------------
 
@@ -716,7 +719,7 @@ class ClientSession:
                 if resp.code == "UIDVALIDITY":
                     collected["uidvalidity"] = resp.code_args.strip()
                 # UIDNEXT, PERMANENTFLAGS, UNSEEN hints, alerts: dropped
-            elif not isinstance(resp, Recent):
+            else:  # RECENT too: _absorb_stray drops it, as the view is detached
                 return False
             return True
 
@@ -819,9 +822,10 @@ class ClientSession:
     def _subuser_list(self, cmd: Command) -> None:
         assert self.upstream is not None
         collected: list[bytes] = []
+        prefix = cmd.name.encode("ascii") + b" "
 
         def collect(resp) -> bool:
-            if isinstance(resp, ListData) and resp.name == cmd.name:
+            if isinstance(resp, RawUntagged) and resp.payload.upper().startswith(prefix):
                 collected.append(resp.raw)
                 return True
             return False
@@ -917,6 +921,9 @@ class ClientSession:
         return tagged, values
 
     def _subuser_fetch(self, cmd: Command) -> None:
+        if not imapcodec.FETCH_ITEMS_RE.fullmatch(cmd.rest):
+            self._tagged(cmd.tag, "BAD", "FETCH items outside RFC 3501")
+            return
         if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return

@@ -90,13 +90,15 @@ def proxy6(store6, mock6, master_key):
 class ScriptedUpstream:
     """A one-connection upstream whose replies a test writes by hand.
 
-    It greets, accepts any LOGIN, and hands every later command line to
-    *script(line, send)*, where *send* writes raw bytes to the proxy. Every
-    line received is kept in `lines`, in order.
+    It greets, accepts any LOGIN with *login_reply* after the tag, and
+    hands every later command line to *script(line, send)*, where *send*
+    writes raw bytes to the proxy. Every line received is kept in `lines`,
+    in order.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, login_reply=b"OK LOGIN completed"):
         self.script = script
+        self.login_reply = login_reply
         self.lines: list[bytes] = []
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._sock.settimeout(10)
@@ -115,7 +117,7 @@ class ScriptedUpstream:
                 self.lines.append(line)
                 words = line.split(b" ")
                 if words[1:2] == [b"LOGIN"]:
-                    conn.sendall(words[0] + b" OK LOGIN completed\r\n")
+                    conn.sendall(words[0] + b" " + self.login_reply + b"\r\n")
                 else:
                     self.script(line, conn.sendall)
 
@@ -127,12 +129,12 @@ class ScriptedUpstream:
 @pytest.fixture
 def scripted_session(tmp_path, master_key):
     """Factory: a client logged in with *password* (the owner's by default)
-    through a proxy whose upstream is a ScriptedUpstream running *script*.
-    Returns (client, upstream)."""
+    through a proxy whose upstream is a ScriptedUpstream running *script*
+    (and given *upstream_args*). Returns (client, upstream)."""
     opened = []
 
-    def _open(script, password=OWNER_PASSWORD):
-        upstream = ScriptedUpstream(script)
+    def _open(script, password=OWNER_PASSWORD, **upstream_args):
+        upstream = ScriptedUpstream(script, **upstream_args)
         cs = make_household_store(tmp_path / "store.json", upstream.port, master_key)
         proxy = ProxyServer(ProxyConfig(store_path=cs.path, listen_port=0), cs, master_key)
         proxy.start()

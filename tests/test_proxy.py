@@ -45,6 +45,7 @@ from chamail.policy import (
     SenderMode,
 )
 from chamail.proxy import ProxyConfig, ProxyServer, UpstreamOverride, load_config
+from wiregen import FETCH_ITEMS
 
 
 # -- configuration ------------------------------------------------------------
@@ -154,8 +155,15 @@ def test_capability_answered_by_proxy(connect, mock6):
     assert out[0] == b"* CAPABILITY IMAP4rev1 AUTH=PLAIN\r\n"
     client.cmd(b"t2 LOGIN person@gmail.com appleball\r\n")
     mock6.clear_log()
-    client.cmd(b"t3 CAPABILITY\r\n")
-    assert "CAPABILITY" not in mock6.received_verbs()
+    client.cmd(b"t3 CAPABILITY\r\n")  # the owner's goes to the upstream
+    assert mock6.received_verbs() == ["CAPABILITY"]
+    client.cmd(b"t4 LOGOUT\r\n")  # the mock serves one connection at a time
+    spouse = connect()
+    spouse.cmd(b"s1 LOGIN person@gmail.com catsanddogs\r\n")
+    mock6.clear_log()
+    out = spouse.cmd(b"s2 CAPABILITY\r\n")
+    assert out == [b"* CAPABILITY IMAP4rev1 AUTH=PLAIN\r\n", b"s2 OK CAPABILITY completed\r\n"]
+    assert mock6.received_verbs() == []
 
 
 def test_syntax_error_keeps_session(connect):
@@ -210,6 +218,13 @@ def test_stop_ends_a_live_session(store6, mock6, master_key):
         client.close()
 
 
+def test_stop_ends_an_owner_pipe(proxy6, owner_session):
+    started = time.monotonic()
+    proxy6.stop()
+    assert time.monotonic() - started < 0.5
+    assert owner_session._read() == b""
+
+
 @pytest.fixture
 def tls_proxy(tmp_path, store6, master_key):
     """A proxy that speaks TLS with a fresh self-signed certificate for
@@ -259,6 +274,43 @@ def test_silent_client_does_not_hold_up_other_tls_handshakes(tls_proxy):
         started = time.monotonic()
         assert _tls_greeting(proxy.port, context) == b"* OK IMAP4rev1 service ready\r\n"
         assert time.monotonic() - started < 1
+
+
+def test_owner_session_over_tls(tls_proxy, mock6):
+    proxy, context = tls_proxy
+    lines = b"".join(b"line %06d of a long message\r\n" % i for i in range(10000))
+    message = b"From: me@uni.example\r\nSubject: big\r\n\r\n" + lines  # about 300 KB
+    # One TLS record of about 10 KB: the proxy's reader holds the first 8 KiB
+    # of it at LOGIN, and the TLS layer the rest.
+    pipelined = b"a1 LOGIN person@gmail.com appleball\r\na2 SELECT INBOX\r\n"
+    pipelined += b'a3 SEARCH SUBJECT "%s"\r\n' % (b"x" * 10000)
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as raw:
+        tls = context.wrap_socket(raw, server_hostname="127.0.0.1")
+        with tls, tls.makefile("rb") as rfile:
+
+            def replies(tag: bytes) -> list[bytes]:
+                out = [imapcodec.read_response_blob(rfile)]
+                while not out[-1].startswith(tag + b" "):
+                    assert out[-1], "connection closed"
+                    out.append(imapcodec.read_response_blob(rfile))
+                return out
+
+            assert imapcodec.read_response_blob(rfile) == imapcodec.GREETING
+            tls.sendall(pipelined)
+            assert replies(b"a1") == [b"a1 OK LOGIN completed\r\n"]
+            assert b"* 6 EXISTS\r\n" in replies(b"a2")
+            assert replies(b"a3") == [b"* SEARCH\r\n", b"a3 OK SEARCH completed\r\n"]
+            tls.sendall(b"a4 APPEND INBOX {%d}\r\n" % len(message))
+            assert imapcodec.read_response_blob(rfile) == b"+ \r\n"
+            tls.sendall(message + b"\r\n")
+            assert replies(b"a4")[-1] == b"a4 OK APPEND completed\r\n"
+            tls.sendall(b"a5 FETCH 7 (BODY.PEEK[])\r\n")
+            fetched = b"* 7 FETCH (BODY[] {%d}\r\n%s)\r\n" % (len(message), message)
+            assert fetched in replies(b"a5")
+            tls.sendall(b"a6 LOGOUT\r\n")
+            assert replies(b"a6") == [imapcodec.BYE_LINE, b"a6 OK LOGOUT completed\r\n"]
+            assert rfile.read() == b""
+    assert mock6.received_verbs()[-5:] == ["SELECT", "SEARCH", "APPEND", "FETCH", "LOGOUT"]
 
 
 def _read_until_closed(sock: socket.socket) -> None:
@@ -381,20 +433,52 @@ def test_owner_gets_the_upstream_refusal_of_a_literal(scripted_session):
             send(tag + b" OK NOOP completed\r\n")
 
     client, upstream = scripted_session(script)
-    out = {}
-
-    def talk():
-        out["append"] = client.cmd(b"a1 APPEND nobox {3}\r\nabc\r\n")
-        out["noop"] = client.cmd(b"a2 NOOP\r\n")
-
-    talker = threading.Thread(target=talk, daemon=True)
-    talker.start()
-    talker.join(timeout=5)
-    assert not talker.is_alive()
-    assert out["append"] == [b"+ \r\n", b"a1 NO [TRYCREATE] no such mailbox\r\n"]
-    assert out["noop"] == [b"a2 OK NOOP completed\r\n"]
-    # the refused literal never reached the upstream
+    client.sock.settimeout(5)
+    # as in a direct session: no "+" from the proxy, so the literal is never sent
+    assert client.cmd(b"a1 APPEND nobox {3}\r\n") == [b"a1 NO [TRYCREATE] no such mailbox\r\n"]
+    assert client.cmd(b"a2 NOOP\r\n") == [b"a2 OK NOOP completed\r\n"]
     assert upstream.lines[1:] == [b"a1 APPEND nobox {3}\r\n", b"a2 NOOP\r\n"]
+
+
+def test_owner_idle_ends_at_done(scripted_session):
+    idling = []
+
+    def script(line, send):
+        if line == b"DONE\r\n":
+            send(idling.pop() + b" OK IDLE terminated\r\n")
+            return
+        tag, verb = line.split()[:2]
+        if verb == b"IDLE":
+            idling.append(tag)
+            send(b"+ idling\r\n")
+        else:
+            send(tag + b" OK " + verb + b" completed\r\n")
+
+    client, upstream = scripted_session(script)
+    client.sock.settimeout(3)
+    client.send(b"a1 IDLE\r\n")
+    assert client._read() == b"+ idling\r\n"
+    client.send(b"DONE\r\n")
+    assert client._read() == b"a1 OK IDLE terminated\r\n"
+    assert client.cmd(b"a2 NOOP\r\n") == [b"a2 OK NOOP completed\r\n"]
+    assert upstream.lines[1:] == [b"a1 IDLE\r\n", b"DONE\r\n", b"a2 NOOP\r\n"]
+
+
+_CONDSTORE_LOGIN = b"OK [CAPABILITY IMAP4rev1 IDLE CONDSTORE MOVE] Logged in"
+
+
+@pytest.mark.parametrize(
+    "password, heard",
+    [
+        (OWNER_PASSWORD, b"t0 " + _CONDSTORE_LOGIN + b"\r\n"),
+        (SPOUSE_PASSWORD, b"t0 OK LOGIN completed\r\n"),
+    ],
+    ids=["owner", "subuser"],
+)
+def test_only_the_owner_hears_the_upstreams_login_reply(scripted_session, password, heard):
+    script = lambda line, send: None  # noqa: E731
+    client, _upstream = scripted_session(script, password, login_reply=_CONDSTORE_LOGIN)
+    assert bytes(client.transcript) == imapcodec.GREETING + heard
 
 
 # -- sub-user filtering ------------------------------------------------------------
@@ -1165,6 +1249,41 @@ def test_subuser_fetch_sends_one_range_per_client_range(scripted_session):
         assert out[-1].startswith(line.split(b" ", 1)[0] + b" OK")
 
 
+@pytest.mark.parametrize(
+    "items", [*FETCH_ITEMS, "BODY.PEEK[]", "(UID FLAGS RFC822.SIZE ENVELOPE)"]
+)
+def test_subuser_fetch_items_of_rfc3501_are_forwarded_unchanged(scripted_session, items):
+    box = {"exists": 3, "lie": False}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    client.cmd(b"t1 SELECT INBOX\r\n")
+    for line in (b"t2 FETCH 2 %s\r\n", b"t3 UID FETCH 20 %s\r\n"):
+        line %= items.encode()
+        assert client.cmd(line)[-1].split(b" ")[1] == b"OK"
+        assert upstream.lines[-1] == line
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"t2 FETCH 1 (FLAGS) (CHANGEDSINCE 1)\r\n",
+        b"t2 UID FETCH 10 (FLAGS) (CHANGEDSINCE 1)\r\n",
+        b"t2 FETCH 1 (FLAGS X-GM-LABELS)\r\n",
+        b"t2 SEARCH MODSEQ 1\r\n",
+        b't2 SEARCH X-GM-RAW "has:x"\r\n',
+    ],
+    ids=["fetch-modifier", "uid-fetch-modifier", "fetch-x-gm-labels", "modseq", "x-gm-raw"],
+)
+def test_subuser_extensions_get_bad_and_never_reach_the_upstream(scripted_session, line):
+    box = {"exists": 3, "lie": False}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    client.cmd(b"t1 SELECT INBOX\r\n")
+    sent = len(upstream.lines)
+    [reply] = client.cmd(line)
+    assert reply.startswith(line.split(b" ", 1)[0] + b" BAD ")
+    assert client.cmd(b"t3 NOOP\r\n")[-1] == b"t3 OK NOOP completed\r\n"
+    assert [line.split()[1] for line in upstream.lines[sent:]] == [b"NOOP"]
+
+
 def test_unsolicited_fetch_of_an_arrival_is_dropped(scripted_session):
     box = {"exists": 2, "lie": False}
     client, _upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
@@ -1775,15 +1894,18 @@ def test_subuser_rows_reach_the_client_before_the_tagged_line(scripted_session):
 
 def test_pipelined_commands_are_all_answered(scripted_session):
     def script(line, send):
-        send(line.split(b" ", 1)[0] + b" OK NOOP completed\r\n")
+        tag, verb = line.split()[:2]
+        if verb == b"CAPABILITY":
+            send(b"* CAPABILITY IMAP4rev1 IDLE\r\n")
+        send(tag + b" OK " + verb + b" completed\r\n")
 
     client, _upstream = scripted_session(script)
     client.sock.settimeout(5)
-    # the last one is answered by the proxy itself
+    # the owner's CAPABILITY, too, is the upstream's
     client.send(b"a1 NOOP\r\na2 NOOP\r\na3 CAPABILITY\r\n")
     assert client._read() == b"a1 OK NOOP completed\r\n"
     assert client._read() == b"a2 OK NOOP completed\r\n"
-    assert client._read().startswith(b"* CAPABILITY ")
+    assert client._read() == b"* CAPABILITY IMAP4rev1 IDLE\r\n"
     assert client._read() == b"a3 OK CAPABILITY completed\r\n"
 
 
