@@ -36,7 +36,7 @@ BYE_LINE = b"* BYE IMAP4rev1 server logging out\r\n"
 NOT_AUTHENTICATED_TEXT = "not authenticated"
 NO_MAILBOX_TEXT = "no mailbox selected"
 
-_TAG_RE = re.compile(rb"^[\x21-\x2a\x2c-\x7e]{1,32}$")  # visible ASCII, no '+'
+_TAG_RE = re.compile(rb'^[^(){ %*"\\+\x00-\x1f\x7f-\xff]{1,32}$')  # RFC 3501 §9: ASTRING-CHAR but "+"
 _ATOM_RE = re.compile(rb'[^(){ %*"\\\x00-\x1f\x7f-\xff]+')
 _VERB_RE = re.compile(rb"[A-Za-z0-9._-]+")
 _LITERAL_TAIL_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n$")

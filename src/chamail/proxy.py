@@ -6,6 +6,10 @@ belongs to. The owner's session becomes a byte pipe once the upstream
 accepts its LOGIN. A sub-user gets a read-only, policy-filtered mailbox:
 hidden messages are renumbered away, their UIDs never reach the client,
 and every mutating command dies at the proxy with a permission error.
+The upstream sees a sub-user's commands only under the proxy's own tags
+(p1, p2, ...), and the proxy writes every tagged line and the FLAGS line
+the sub-user reads: an upstream's own words reach it only as the reason
+for a refusal.
 
 Fail-closed rules, in one place:
   * policy metadata that cannot be fetched or parsed never degrades into
@@ -58,7 +62,7 @@ from .imapcodec import (
     completion_text,
     parse_fetch_attrs,
     parse_response,
-    render_command,
+    render_astring,
 )
 from .policy import (
     BODY_EXCERPT_CAP,
@@ -78,6 +82,9 @@ log = logging.getLogger("chamail.proxy")
 _META_HEADER_FIELDS = "FROM SUBJECT CONTENT-TYPE CONTENT-TRANSFER-ENCODING MIME-VERSION"
 _LITERAL_MARKER_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n")
 _TAGGED_STATUS_RE = re.compile(rb"^([^ ]+) (OK|NO|BAD)(?: |\r\n)")
+# A sub-user's SELECT names the system flags only: the upstream's list
+# also names keywords, and one set only on hidden messages would show them.
+_SYSTEM_FLAGS_LINE = b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n"
 
 AUTH_FAILED_TEXT = "LOGIN failed"
 UPSTREAM_FAILED_TEXT = "upstream unavailable"
@@ -145,10 +152,6 @@ class UpstreamConnection:
             self.close()
             raise UpstreamUnavailable(f"unexpected upstream greeting {greeting[:60]!r}")
 
-    def next_tag(self) -> str:
-        self._tag_counter += 1
-        return f"p{self._tag_counter}"
-
     def read_blob(self) -> bytes:
         try:
             blob = imapcodec.read_response_blob(self.rfile)
@@ -186,13 +189,16 @@ class UpstreamConnection:
         self._write(blob[sent:])
         return None
 
-    def exchange(self, blob: bytes, tag: str, on_reply) -> bytes:
-        """Send one command and read replies until *tag* completes.
+    def exchange(self, command: bytes, on_reply) -> bytes:
+        """Send *command*, given without tag or CRLF, under this connection's
+        next tag p<n>, and read replies until that tag completes.
 
         Every untagged reply (and continuation) goes to *on_reply* as soon
         as it arrives; the tagged completion is returned.
         """
-        tagged = self.send_blob(blob, tag, on_reply)
+        self._tag_counter += 1
+        tag = f"p{self._tag_counter}"
+        tagged = self.send_blob(tag.encode("ascii") + b" " + command + CRLF, tag, on_reply)
         while tagged is None:
             reply = self.read_blob()
             if _is_tagged_for(reply, tag):
@@ -328,7 +334,7 @@ class ClientSession:
             else:
                 self._tagged(cmd.tag, "NO", imapcodec.NOT_AUTHENTICATED_TEXT)
             if isinstance(self.principal, Owner):
-                self._pipe()
+                log.info("owner session from %s ended by the %s", self.peer, self._pipe())
                 return False
             return True
         return self._dispatch_subuser(cmd)
@@ -394,15 +400,11 @@ class ClientSession:
             self._tagged(cmd.tag, "NO", UPSTREAM_FAILED_TEXT)
             return
 
-        login_cmd = Command(
-            tag=cmd.tag,
-            verb=Verb.LOGIN,
-            name="LOGIN",
-            login=(target.upstream_login, upstream_password),
-        )
+        login = b"LOGIN " + render_astring(target.upstream_login)
+        login += b" " + render_astring(upstream_password)
         untagged: list[bytes] = []  # forwarded only once the upstream says OK
         try:
-            tagged_blob = upstream.exchange(render_command(login_cmd), cmd.tag, untagged.append)
+            tagged_blob = upstream.exchange(login, untagged.append)
         except UpstreamUnavailable as exc:
             upstream.close()
             log.warning("upstream login exchange failed for %s: %s", account.email, exc)
@@ -422,7 +424,7 @@ class ClientSession:
         if isinstance(principal, Owner):  # a sub-user hears only the proxy
             self._send(b"".join(untagged))
         if isinstance(principal, Owner) and cmd.verb is Verb.LOGIN:
-            self._send(tagged_blob)
+            self._send(cmd.tag.encode("ascii") + tagged_blob[m.end(1) :])
         else:  # a sub-user, or AUTHENTICATE: the upstream spoke LOGIN, the client did not
             self._tagged(cmd.tag, "OK", completion_text(cmd.name))
         log.info("%s authenticated as %s from %s", account.email, principal, self.peer)
@@ -430,18 +432,18 @@ class ClientSession:
     def _handle_logout(self, cmd: Command) -> bool:
         if self.upstream is not None:
             with contextlib.suppress(UpstreamUnavailable):
-                tag = self.upstream.next_tag()
-                self.upstream.exchange(f"{tag} LOGOUT\r\n".encode(), tag, lambda _reply: None)
+                self.upstream.exchange(b"LOGOUT", lambda _reply: None)
         self._send(imapcodec.BYE_LINE)
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
         return False
 
     # -- owner: a byte pipe ----------------------------------------------------
 
-    def _pipe(self) -> None:
+    def _pipe(self) -> str:
         """Copy bytes both ways, first what the readers already hold (commands
-        pipelined behind the LOGIN), until either side ends. One thread serves
-        both ways: an SSLSocket is not safe to read and write from two."""
+        pipelined behind the LOGIN), until either side ends; returns which,
+        "client" or "upstream". One thread serves both ways: an SSLSocket is
+        not safe to read and write from two."""
         assert self.upstream is not None
         ends = {self.conn: (self.rfile, self.upstream.wfile)}
         ends[self.upstream.sock] = (self.upstream.rfile, self.wfile)
@@ -462,8 +464,10 @@ class ClientSession:
                     relay(sock)
                 sock.settimeout(None)
                 selector.register(sock, selectors.EVENT_READ)
-            while all(relay(key.fileobj) for key, _ in selector.select()):
-                pass
+            while True:
+                for key, _ in selector.select():
+                    if not relay(key.fileobj):
+                        return "client" if key.fileobj is self.conn else "upstream"
 
     # -- sub-user: filtered engine -------------------------------------------------
 
@@ -495,12 +499,13 @@ class ClientSession:
 
     # Internal exchange that interprets stray events against the view.
 
-    def _subuser_exchange(self, blob: bytes, tag: str, on_data=None) -> Tagged:
-        """Run one upstream command, handing each reply to *on_data* (or,
-        when it declines, to _absorb_stray). Any failure while handling a
-        reply is raised as SessionAborted only once the tagged line is read,
-        so the upstream stays in step; replies after it are dropped
-        uninterpreted. A client that went away ends the session at once."""
+    def _subuser_exchange(self, command: bytes, on_data=None) -> Tagged:
+        """Run one upstream *command*, untagged as UpstreamConnection.exchange
+        takes it, handing each reply to *on_data* (or, when it declines, to
+        _absorb_stray). Any failure while handling a reply is raised as
+        SessionAborted only once the tagged line is read, so the upstream
+        stays in step; replies after it are dropped uninterpreted. A client
+        that went away ends the session at once."""
         assert self.upstream is not None
         failure: list[SessionAborted] = []
 
@@ -525,7 +530,7 @@ class ClientSession:
                 log.warning("handling an upstream reply failed:\n%s", trace)
                 failure.append(SessionAborted(f"reply handler failed: {type(exc).__name__}"))
 
-        tagged = parse_response(self.upstream.exchange(blob, tag, on_reply))
+        tagged = parse_response(self.upstream.exchange(command, on_reply))
         if failure:
             raise failure[0]
         assert isinstance(tagged, Tagged)
@@ -672,8 +677,6 @@ class ClientSession:
         reply to *on_data* as _subuser_exchange does; returns the SEARCH
         hits. A refusal aborts, and so does an EXPUNGE, which RFC 3501
         §7.4.1 forbids meanwhile: it would shift the seqs the replies name."""
-        assert self.upstream is not None
-        tag = self.upstream.next_tag()
         verb = command.split(" ", 1)[0]
         hits: list[int] = []
 
@@ -685,55 +688,27 @@ class ClientSession:
                 return True
             return on_data is not None and on_data(resp)
 
-        tagged = self._subuser_exchange(f"{tag} {command}\r\n".encode("ascii"), tag, handle)
+        tagged = self._subuser_exchange(command.encode("ascii"), handle)
         if tagged.status != "OK":
             raise SessionAborted(f"proxy's {verb} failed: {tagged.status} {tagged.text}")
         return hits
 
     # -- sub-user commands ---------------------------------------------------------
 
+    def _complete(self, cmd: Command, tagged: Tagged) -> None:
+        """Complete *cmd* after the upstream completed it with *tagged*. The
+        upstream's text reaches the client only in a refusal, to say why."""
+        if tagged.status == "OK":
+            self._tagged(cmd.tag, "OK", completion_text(cmd.name))
+        else:
+            self._tagged(cmd.tag, tagged.status, tagged.text.strip() or f"{cmd.name} failed")
+
     def _subuser_noop(self, cmd: Command) -> None:
-        assert self.upstream is not None
-        tag = self.upstream.next_tag()
-        self._subuser_exchange(f"{tag} NOOP\r\n".encode(), tag)
+        self._subuser_exchange(b"NOOP")
         self._flush_pending_exists()
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
-    def _examine(self, mailbox: str):
-        """EXAMINE *mailbox* on the main connection.
-
-        Returns (tagged, collected); when the upstream said OK, collected
-        holds the EXISTS, the UIDVALIDITY and the FLAGS lines.
-        """
-        assert self.upstream is not None
-        tag = self.upstream.next_tag()
-        examine = Command(tag=tag, verb=Verb.EXAMINE, name="EXAMINE", mailbox=mailbox)
-        collected: dict = {"exists": None, "uidvalidity": None, "flags": []}
-
-        def collect(resp) -> bool:
-            if isinstance(resp, Exists):
-                collected["exists"] = resp.count
-            elif isinstance(resp, RawUntagged) and resp.payload.upper().startswith(b"FLAGS"):
-                collected["flags"].append(resp.raw)
-            elif isinstance(resp, UntaggedStatus):
-                if resp.code == "UIDVALIDITY":
-                    collected["uidvalidity"] = resp.code_args.strip()
-                # UIDNEXT, PERMANENTFLAGS, UNSEEN hints, alerts: dropped
-            else:  # RECENT too: _absorb_stray drops it, as the view is detached
-                return False
-            return True
-
-        tagged = self._subuser_exchange(render_command(examine), tag, collect)
-        if tagged.status != "OK":
-            return tagged, collected
-        exists = collected["exists"]
-        uidvalidity_text = collected["uidvalidity"]
-        if exists is None or uidvalidity_text is None or not uidvalidity_text.isdigit():
-            raise SessionAborted("upstream EXAMINE response missing EXISTS/UIDVALIDITY")
-        collected["uidvalidity"] = int(uidvalidity_text)
-        return tagged, collected
-
-    def _open(self, mailbox: str, restore: ViewMap | None = None):
+    def _open(self, mailbox: str, restore: ViewMap | None = None) -> Tagged:
         """EXAMINE *mailbox* and make it the session's selection.
 
         The view starts from *restore*, the session's own view put back
@@ -742,15 +717,31 @@ class ClientSession:
         server; vanished slots are dropped and the arrivals decided, and
         the client hears of them as upstream events would have told it for
         a put-back only. The view is then saved. Returns the EXAMINE's
-        (tagged, collected). Nothing is selected when the upstream refuses
-        the mailbox or deciding fails.
+        tagged reply. Nothing is selected when the upstream refuses the
+        mailbox or deciding fails.
         """
         self.view = None
         self.selected_mailbox = None
-        tagged, collected = self._examine(mailbox)
+        exists = uidvalidity_text = None
+
+        def collect(resp) -> bool:
+            nonlocal exists, uidvalidity_text
+            if isinstance(resp, Exists):
+                exists = resp.count
+            elif isinstance(resp, UntaggedStatus):
+                if resp.code == "UIDVALIDITY":
+                    uidvalidity_text = resp.code_args.strip()
+                # UIDNEXT, PERMANENTFLAGS, UNSEEN hints, alerts: dropped
+            else:  # FLAGS and RECENT too: _absorb_stray drops them, as the view is detached
+                return False
+            return True
+
+        tagged = self._subuser_exchange(b"EXAMINE " + render_astring(mailbox), collect)
         if tagged.status != "OK":
-            return tagged, collected
-        counts, vanished, uidvalidity = [collected["exists"]], [], collected["uidvalidity"]
+            return tagged
+        if exists is None or uidvalidity_text is None or not uidvalidity_text.isdigit():
+            raise SessionAborted("upstream EXAMINE response missing EXISTS/UIDVALIDITY")
+        counts, vanished, uidvalidity = [exists], [], int(uidvalidity_text)
         view = restore
         if view is None:
             slots = self.server.decisions.load(self._decision_key(mailbox, uidvalidity))
@@ -781,14 +772,14 @@ class ClientSession:
             raise
         evaluated = view.upstream_exists() - kept
         log.info("policy decisions for %s: %d cached, %d evaluated", self.peer, kept, evaluated)
-        return tagged, collected
+        return tagged
 
     def _subuser_select(self, cmd: Command) -> None:
         assert self.upstream is not None and cmd.mailbox is not None
         policy, lists = self._policy_snapshot()
         self.active_policy, self.active_lists = policy, lists
         try:
-            tagged, collected = self._open(cmd.mailbox)
+            tagged = self._open(cmd.mailbox)
         except SessionAborted as exc:
             # fail closed but keep the session: the mailbox simply cannot
             # be opened with filtering guaranteed
@@ -796,12 +787,11 @@ class ClientSession:
             self._tagged(cmd.tag, "NO", "cannot open mailbox with filtering guaranteed")
             return
         if self.view is None:
-            self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "SELECT failed")
+            self._complete(cmd, tagged)
             return
 
         view = self.view
-        for raw in collected["flags"]:
-            self._send(raw)
+        self._send(_SYSTEM_FLAGS_LINE)
         self._send(b"* %d EXISTS\r\n" % view.exists())
         self._send(b"* 0 RECENT\r\n")
         self._send(b"* OK [UIDVALIDITY %d] UIDs valid\r\n" % view.uidvalidity)
@@ -812,15 +802,12 @@ class ClientSession:
         if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
-        assert self.upstream is not None
-        tag = self.upstream.next_tag()
-        self._subuser_exchange(f"{tag} CLOSE\r\n".encode(), tag)
+        self._subuser_exchange(b"CLOSE")
         self.view = None
         self.selected_mailbox = None
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
     def _subuser_list(self, cmd: Command) -> None:
-        assert self.upstream is not None
         collected: list[bytes] = []
         prefix = cmd.name.encode("ascii") + b" "
 
@@ -830,12 +817,11 @@ class ClientSession:
                 return True
             return False
 
-        upstream_blob = f"{cmd.tag} {cmd.name} ".encode("ascii") + cmd.rest + CRLF
-        tagged = self._subuser_exchange(upstream_blob, cmd.tag, collect)
+        tagged = self._subuser_exchange(prefix + cmd.rest, collect)
         self._flush_pending_exists()
         for raw in collected:
             self._send(raw)
-        self._send(tagged.raw)
+        self._complete(cmd, tagged)
 
     def _subuser_status(self, cmd: Command) -> None:
         assert cmd.mailbox is not None
@@ -855,7 +841,7 @@ class ClientSession:
 
         tagged, values = self._inspect(cmd.mailbox, "UNSEEN" in requested)
         if tagged is not None and tagged.status != "OK":
-            self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "STATUS failed")
+            self._complete(cmd, tagged)
             return
         if not all(item in values for item in requested):
             self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
@@ -895,7 +881,7 @@ class ClientSession:
 
         tagged, values = None, {}
         try:
-            tagged, _collected = self._open(target)
+            tagged = self._open(target)
             # Detached, so no stray reply about the target reaches the client.
             view, self.view, self.selected_mailbox = self.view, None, None
             if view is not None:
@@ -927,7 +913,7 @@ class ClientSession:
         if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
-        assert self.upstream is not None and cmd.seq_set is not None
+        assert cmd.seq_set is not None
         view = self.view
 
         # Only the endpoints of each range are translated: the upstream set
@@ -943,7 +929,7 @@ class ClientSession:
             if not mapped.ranges:  # nothing visible
                 self._tagged(cmd.tag, "OK", completion_text(cmd.name))
                 return
-        upstream_blob = f"{cmd.tag} {cmd.name} {mapped.render()} ".encode("ascii") + cmd.rest + CRLF
+        command = f"{cmd.name} {mapped.render()} ".encode("ascii") + cmd.rest
 
         def relay(resp) -> bool:
             """Relay a UID FETCH row whose UID is its slot's; _absorb_stray takes the rest."""
@@ -960,15 +946,14 @@ class ClientSession:
             self._send(b"* %d FETCH " % virtual + resp.attrs + CRLF)
             return True
 
-        tagged = self._subuser_exchange(upstream_blob, cmd.tag, relay)
+        tagged = self._subuser_exchange(command, relay)
         self._flush_pending_exists()
-        self._send(tagged.raw)
+        self._complete(cmd, tagged)
 
     def _subuser_search(self, cmd: Command) -> None:
         if self.view is None:
             self._tagged(cmd.tag, "NO", imapcodec.NO_MAILBOX_TEXT)
             return
-        assert self.upstream is not None
         view = self.view
         if not view.exists():
             self._send(imapcodec.render_response(SearchData(())))
@@ -981,7 +966,6 @@ class ClientSession:
         except ImapSyntaxError as exc:
             self._tagged(cmd.tag, "BAD", str(exc))
             return
-        upstream_blob = f"{cmd.tag} {cmd.name} ".encode("ascii") + criteria + CRLF
         hits: list[int] = []
 
         def collect(resp) -> bool:
@@ -990,17 +974,15 @@ class ClientSession:
                 return True
             return False
 
-        tagged = self._subuser_exchange(upstream_blob, cmd.tag, collect)
+        tagged = self._subuser_exchange(f"{cmd.name} ".encode("ascii") + criteria, collect)
         self._flush_pending_exists()
-        if tagged.status != "OK":
-            self._tagged(cmd.tag, tagged.status, tagged.text.strip() or "SEARCH failed")
-            return
-        if cmd.verb is Verb.UID_SEARCH:
-            mapped = view.filter_uids(hits)
-        else:
-            mapped = [v for seq in hits if (v := view.map_down_seq(seq)) is not None]
-        self._send(imapcodec.render_response(SearchData(tuple(mapped))))
-        self._send(tagged.raw)
+        if tagged.status == "OK":
+            if cmd.verb is Verb.UID_SEARCH:
+                mapped = view.filter_uids(hits)
+            else:
+                mapped = [v for seq in hits if (v := view.map_down_seq(seq)) is not None]
+            self._send(imapcodec.render_response(SearchData(tuple(mapped))))
+        self._complete(cmd, tagged)
 
 
 def decide(

@@ -92,8 +92,8 @@ class ScriptedUpstream:
 
     It greets, accepts any LOGIN with *login_reply* after the tag, and
     hands every later command line to *script(line, send)*, where *send*
-    writes raw bytes to the proxy. Every line received is kept in `lines`,
-    in order.
+    writes raw bytes to the proxy; a script that returns False closes the
+    connection. Every line received is kept in `lines`, in order.
     """
 
     def __init__(self, script, login_reply=b"OK LOGIN completed"):
@@ -118,8 +118,8 @@ class ScriptedUpstream:
                 words = line.split(b" ")
                 if words[1:2] == [b"LOGIN"]:
                     conn.sendall(words[0] + b" " + self.login_reply + b"\r\n")
-                else:
-                    self.script(line, conn.sendall)
+                elif self.script(line, conn.sendall) is False:
+                    return
 
     def close(self) -> None:
         self._sock.close()

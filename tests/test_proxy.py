@@ -142,6 +142,20 @@ def test_authenticate_cancel(connect):
     assert client._read() == b"t1 BAD AUTHENTICATE cancelled\r\n"
 
 
+@pytest.mark.parametrize(
+    "line, reply",
+    [
+        (b"t1 AUTHENTICATE CRAM-MD5\r\n", b"t1 NO unsupported authentication mechanism\r\n"),
+        (b"t1 AUTHENTICATE PLAIN not!base64\r\n", b"t1 BAD malformed AUTHENTICATE response\r\n"),
+    ],
+    ids=["mechanism", "base64"],
+)
+def test_authenticate_refusals_keep_the_session_unauthenticated(connect, line, reply):
+    client = connect()
+    assert client.cmd(line) == [reply]
+    assert client.cmd(b"t2 SELECT INBOX\r\n") == [b"t2 NO not authenticated\r\n"]
+
+
 def test_commands_rejected_before_auth(connect):
     client = connect()
     assert client.cmd(b"t1 SELECT INBOX\r\n")[-1] == b"t1 NO not authenticated\r\n"
@@ -462,6 +476,26 @@ def test_owner_idle_ends_at_done(scripted_session):
     assert client._read() == b"a1 OK IDLE terminated\r\n"
     assert client.cmd(b"a2 NOOP\r\n") == [b"a2 OK NOOP completed\r\n"]
     assert upstream.lines[1:] == [b"a1 IDLE\r\n", b"DONE\r\n", b"a2 NOOP\r\n"]
+
+
+@pytest.mark.parametrize("side", ["client", "upstream"])
+def test_an_owner_sessions_log_says_which_side_ended_it(scripted_session, caplog, side):
+    client, _upstream = scripted_session(lambda line, send: False)  # closes at a command
+
+    def ended():
+        return [r.getMessage() for r in caplog.records if "owner session" in r.getMessage()]
+
+    with caplog.at_level(logging.INFO, logger="chamail.proxy"):
+        if side == "client":
+            client.close()
+        else:
+            client.send(b"a1 NOOP\r\n")
+            assert client._read() == b""
+        deadline = time.monotonic() + 5
+        while not ended() and time.monotonic() < deadline:
+            time.sleep(0.02)
+    [line] = ended()
+    assert line.endswith(f"ended by the {side}")
 
 
 _CONDSTORE_LOGIN = b"OK [CAPABILITY IMAP4rev1 IDLE CONDSTORE MOVE] Logged in"
@@ -1237,13 +1271,13 @@ def test_subuser_fetch_sends_one_range_per_client_range(scripted_session):
         for virtual, uid in enumerate((10, 20, 40, 50, 70, 80), start=1)
     ]
     for line, sent, rows in (
-        (b"t2 FETCH 1:* (FLAGS)", b"t2 FETCH 1:8 (FLAGS)", visible),
-        (b"t3 UID FETCH 1:* (FLAGS)", b"t3 UID FETCH 1:80 (FLAGS)", visible),
-        (b"t4 FETCH 1,4:5 (FLAGS)", b"t4 FETCH 1,5:7 (FLAGS)", visible[:1] + visible[3:5]),
-        (b"t5 UID FETCH 25:65 (FLAGS)", b"t5 UID FETCH 25:65 (FLAGS)", visible[2:4]),
+        (b"t2 FETCH 1:* (FLAGS)", b"FETCH 1:8 (FLAGS)", visible),
+        (b"t3 UID FETCH 1:* (FLAGS)", b"UID FETCH 1:80 (FLAGS)", visible),
+        (b"t4 FETCH 1,4:5 (FLAGS)", b"FETCH 1,5:7 (FLAGS)", visible[:1] + visible[3:5]),
+        (b"t5 UID FETCH 25:65 (FLAGS)", b"UID FETCH 25:65 (FLAGS)", visible[2:4]),
     ):
         out = client.cmd(line + b"\r\n")
-        assert upstream.lines[-1] == sent + b"\r\n"
+        assert upstream.lines[-1].split(b" ", 1)[1] == sent + b"\r\n"
         # the upstream answered the hidden messages in those ranges too
         assert out[:-1] == rows
         assert out[-1].startswith(line.split(b" ", 1)[0] + b" OK")
@@ -1259,7 +1293,7 @@ def test_subuser_fetch_items_of_rfc3501_are_forwarded_unchanged(scripted_session
     for line in (b"t2 FETCH 2 %s\r\n", b"t3 UID FETCH 20 %s\r\n"):
         line %= items.encode()
         assert client.cmd(line)[-1].split(b" ")[1] == b"OK"
-        assert upstream.lines[-1] == line
+        assert upstream.lines[-1].split(b" ", 1)[1] == line.split(b" ", 1)[1]
 
 
 @pytest.mark.parametrize(
@@ -1282,6 +1316,118 @@ def test_subuser_extensions_get_bad_and_never_reach_the_upstream(scripted_sessio
     assert reply.startswith(line.split(b" ", 1)[0] + b" BAD ")
     assert client.cmd(b"t3 NOOP\r\n")[-1] == b"t3 OK NOOP completed\r\n"
     assert [line.split()[1] for line in upstream.lines[sent:]] == [b"NOOP"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"* SEARCH ALL", b"( NOOP", b"a% NOOP", b'a"b NOOP', b"a{1} NOOP", b"a\\b NOOP"],
+    ids=["star", "paren", "percent", "quote", "brace", "backslash"],
+)
+def test_a_tag_outside_rfc3501_gets_untagged_bad_and_never_reaches_the_upstream(
+    scripted_session, line
+):
+    box = {"exists": 3, "lie": False}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    client.cmd(b"t1 SELECT INBOX\r\n")
+    unauthenticated = ImapClient(client.sock.getpeername()[1])
+    try:
+        for session in (unauthenticated, client):
+            session.send(line + b"\r\n")
+            assert session._read().startswith(b"* BAD ")
+            assert session.cmd(b"t2 NOOP\r\n") == [b"t2 OK NOOP completed\r\n"]
+    finally:
+        unauthenticated.close()
+    verbs = [line.split()[1] for line in upstream.lines]
+    assert verbs == [b"LOGIN", b"EXAMINE", b"FETCH", b"NOOP"]
+
+
+def test_a_subuser_session_reaches_the_upstream_under_the_proxys_tags_only(scripted_session):
+    box = {"exists": 3, "lie": False, "hidden": {2}}
+    client, upstream = scripted_session(_scripted_mailbox(box), SPOUSE_PASSWORD)
+    for line in (
+        b"t1 SELECT INBOX",
+        b"t2 NOOP",
+        b"t3 FETCH 1:* (FLAGS)",
+        b"t4 UID FETCH 1:* (FLAGS)",
+        b"t5 SEARCH ALL",
+        b't6 LIST "" *',
+        b"t7 STATUS Other (MESSAGES)",
+        b"t8 CLOSE",
+        b"t9 LOGOUT",
+    ):
+        assert client.cmd(line + b"\r\n")[-1].startswith(line.split(b" ", 1)[0] + b" OK ")
+    tags = [line.split(b" ", 1)[0] for line in upstream.lines]
+    assert tags == [b"p%d" % n for n in range(1, len(tags) + 1)]
+
+
+_TIMED_OK = b"OK Fetch completed (0.004 + 0.000 + 0.003 secs)."
+
+
+def test_a_subuser_hears_the_proxys_completions_and_the_upstreams_refusals(scripted_session):
+    mailbox_script = _scripted_mailbox({"exists": 3, "lie": False, "hidden": {2}})
+    refusal = []
+
+    def script(line, send):
+        tag = line.split(b" ", 1)[0]
+        if refusal:
+            send(tag + b" " + refusal[0] + b"\r\n")
+            return
+
+        def timed(data):  # completions as Dovecot words them, timings and all
+            send(tag + b" " + _TIMED_OK + b"\r\n" if data.startswith(tag + b" OK") else data)
+
+        mailbox_script(line, timed)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    client.cmd(b"t1 SELECT INBOX\r\n")
+    commands = (
+        (b"FETCH 1:* (FLAGS)", b"FETCH"),
+        (b"UID FETCH 1:* (FLAGS)", b"UID FETCH"),
+        (b"SEARCH ALL", b"SEARCH"),
+        (b'LIST "" *', b"LIST"),
+    )
+    for n, (line, name) in enumerate(commands, start=2):
+        completion = client.cmd(b"t%d %s\r\n" % (n, line))[-1]
+        assert completion == b"t%d OK %s completed\r\n" % (n, name)
+    assert b"secs" not in bytes(client.transcript)
+    refusal.append(b"NO [UNAVAILABLE] Fetch failed (0.001 secs).")
+    for n, (line, _name) in enumerate(commands, start=6):
+        assert client.cmd(b"t%d %s\r\n" % (n, line)) == [b"t%d %s\r\n" % (n, refusal[0])]
+
+
+def test_a_subuser_select_names_only_the_system_flags(scripted_session):
+    mailbox_script = _scripted_mailbox({"exists": 2, "lie": False})
+
+    def script(line, send):
+        if line.split()[1] == b"EXAMINE":
+            send(b"* FLAGS (\\Seen $ExOnly)\r\n")  # a keyword set only on hidden messages
+        mailbox_script(line, send)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    out = client.cmd(b"t1 SELECT INBOX\r\n")
+    assert out[0] == b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n"
+    assert b"$ExOnly" not in bytes(client.transcript)
+
+
+def test_a_subuser_literal_the_upstream_refuses_is_never_sent(scripted_session):
+    mailbox_script = _scripted_mailbox({"exists": 2, "lie": False})
+    refusal = b" NO [BADCHARSET (US-ASCII)] charset not supported\r\n"
+
+    def script(line, send):
+        if b"CHARSET" in line:  # refused in place of the "+" the literal waits for
+            send(line.split(b" ", 1)[0] + refusal)
+        else:
+            mailbox_script(line, send)
+
+    client, upstream = scripted_session(script, SPOUSE_PASSWORD)
+    client.cmd(b"t1 SELECT INBOX\r\n")
+    client.sock.settimeout(5)
+    client.send(b"t2 SEARCH CHARSET UTF-8 SUBJECT {5}\r\n")
+    assert client._read() == b"+ \r\n"
+    client.send("café\r\n".encode())
+    assert client._read() == b"t2" + refusal
+    assert client.cmd(b"t3 NOOP\r\n") == [b"t3 OK NOOP completed\r\n"]
+    assert _sent(upstream.lines[-2:]) == [b"SEARCH CHARSET UTF-8 SUBJECT {5}", b"NOOP"]
 
 
 def test_unsolicited_fetch_of_an_arrival_is_dropped(scripted_session):
@@ -1327,6 +1473,7 @@ def test_exists_during_the_select_fetch_is_decided(scripted_session):
     client, upstream = scripted_session(script, SPOUSE_PASSWORD)
     # one count, taken after the arrival is decided
     assert client.cmd(b"t1 SELECT INBOX\r\n") == [
+        b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n",
         b"* 3 EXISTS\r\n",
         b"* 0 RECENT\r\n",
         b"* OK [UIDVALIDITY 9] UIDs valid\r\n",
@@ -1447,6 +1594,140 @@ def test_expunge_during_the_select_fetch_fails_the_select(scripted_session):
     assert out == [b"t1 NO cannot open mailbox with filtering guaranteed\r\n"]
     assert b"* 3 EXISTS\r\n" in client.cmd(b"t2 SELECT INBOX\r\n")
     assert client.cmd(b"t3 SEARCH ALL\r\n")[0] == b"* SEARCH 1 2 3\r\n"
+
+
+_FRIEND = b"From: friend@uni.example\r\n\r\n"
+_META = b"BODY[HEADER.FIELDS (FROM)] {%d}\r\n%s" % (len(_FRIEND), _FRIEND)
+_BYE = [b"* BYE session terminated\r\n", b""]
+_SELECT_NO = [b"t9 NO cannot open mailbox with filtering guaranteed\r\n"]
+_STATUS_OTHER = [b"t1 SELECT INBOX", b"t9 STATUS Other (MESSAGES)"]
+
+
+@pytest.mark.parametrize(
+    "answers, lines, heard, reason",
+    [
+        (
+            {(b"NOOP", 1): b"* OK [UIDVALIDITY 8] UIDs changed\r\nTAG OK NOOP completed\r\n"},
+            [b"t1 SELECT INBOX", b"t9 NOOP"],
+            _BYE,
+            "UIDVALIDITY changed mid-session",
+        ),
+        (
+            {(b"EXAMINE", 3): b"* 2 EXISTS\r\n* OK [UIDVALIDITY 8] new\r\nTAG OK done\r\n"},
+            _STATUS_OTHER,
+            _BYE,
+            "UIDVALIDITY changed mid-session",
+        ),
+        (
+            {(b"EXAMINE", 3): b"TAG NO no such mailbox\r\n"},
+            _STATUS_OTHER,
+            _BYE,
+            "cannot re-open selected mailbox",
+        ),
+        (
+            {(b"EXAMINE", 1): b"* OK [UIDVALIDITY 9] UIDs valid\r\nTAG OK done\r\n"},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "missing EXISTS/UIDVALIDITY",
+        ),
+        (
+            {(b"EXAMINE", 1): b"* 2 EXISTS\r\nTAG OK EXAMINE completed\r\n"},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "missing EXISTS/UIDVALIDITY",
+        ),
+        (
+            {(b"FETCH", 1): b"* 1 FETCH (UID 10 %s)\r\nTAG OK FETCH completed\r\n" % _META},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "metadata fetch missing seq 2",
+        ),
+        (
+            {(b"FETCH", 1): b"* 1 FETCH (%s)\r\nTAG OK FETCH completed\r\n" % _META},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "malformed metadata for seq 1",
+        ),
+        (
+            {(b"FETCH", 1): b"* 1 FETCH (UID 10 FLAGS ())\r\nTAG OK FETCH completed\r\n"},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "no BODY[HEADER.FIELDS",
+        ),
+        (
+            {(b"FETCH", 1): b"TAG NO [SERVERBUG] try later\r\n"},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "proxy's FETCH failed",
+        ),
+        (
+            {(b"FETCH", 1): b"+ go on\r\nTAG OK FETCH completed\r\n"},
+            [b"t9 SELECT INBOX"],
+            _SELECT_NO,
+            "unexpected upstream continuation",
+        ),
+        (
+            {(b"SEARCH", 1): b"TAG NO [BADCHARSET] not here\r\n"},
+            [b"t1 SELECT INBOX", b"t9 SEARCH ALL"],
+            [b"t9 NO [BADCHARSET] not here\r\n"],
+            None,
+        ),
+        (
+            {
+                (b"UID", 1): b"* 1 FETCH (FLAGS ())\r\n* 2 FETCH (UID 20 FLAGS ())\r\n"
+                + b"TAG OK UID FETCH completed\r\n"
+            },
+            [b"t1 SELECT INBOX", b"t9 UID FETCH 1:* (FLAGS)"],
+            [b"* 2 FETCH (UID 20 FLAGS ())\r\n", b"t9 OK UID FETCH completed\r\n"],
+            None,
+        ),
+    ],
+    ids=[
+        "stray-uidvalidity",
+        "put-back-uidvalidity",
+        "put-back-refused",
+        "examine-without-exists",
+        "examine-without-uidvalidity",
+        "metadata-seq-missing",
+        "metadata-without-uid",
+        "metadata-without-header",
+        "own-fetch-refused",
+        "continuation",
+        "search-refused",
+        "uid-fetch-row-without-uid",
+    ],
+)
+def test_upstream_replies_off_the_script_fail_closed(
+    scripted_session, caplog, answers, lines, heard, reason
+):
+    """*answers* replaces the upstream's reply to the n-th command of a verb
+    (TAG standing for its tag); the client hears *heard* after its last
+    line: a BYE and the end of the session, or a refusal that keeps it.
+    The proxy logs *reason*, which names the check that refused."""
+    box = {"exists": 2, "lie": False}
+    mailbox_script = _scripted_mailbox(box)
+    seen: dict = {}
+
+    def script(line, send):
+        tag, verb = line.split()[:2]
+        seen[verb] = seen.get(verb, 0) + 1
+        if (verb, seen[verb]) in answers:
+            send(answers[verb, seen[verb]].replace(b"TAG", tag))
+        else:
+            mailbox_script(line, send)
+
+    client, _upstream = scripted_session(script, SPOUSE_PASSWORD)
+    *setup, last = lines
+    for line in setup:
+        assert client.cmd(line + b"\r\n")[-1].startswith(line.split(b" ", 1)[0] + b" OK ")
+    with caplog.at_level(logging.WARNING, logger="chamail.proxy"):
+        client.send(last + b"\r\n")
+        out = []
+        while not out or out[-1] and not out[-1].startswith(b"t9 "):
+            out.append(client._read())
+    assert out == heard
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [reason in warning for warning in warnings] == ([] if reason is None else [True])
 
 
 def test_select_logs_cache_counts_only(spouse_session, caplog):
