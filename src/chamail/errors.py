@@ -126,8 +126,9 @@ class SessionAborted(ChamailError):
 
 
 class ClientGone(ChamailError):
-    """A write to the client failed: the client went away, and the session
-    ends at once, whatever it was waiting on."""
+    """The client went away (a write to it failed, or it closed in the
+    middle of a command), and the session ends at once, whatever it was
+    waiting on."""
 
 
 # -- view mapping ----------------------------------------------------------

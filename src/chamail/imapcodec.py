@@ -1,4 +1,4 @@
-"""Parsing and serialization for the IMAP4rev1 subset the proxy speaks.
+"""Parsing and serialization for the IMAP4rev1 subset the proxy and the mock upstream speak.
 
 Commands are parsed just deeply enough to route and rewrite them: LOGIN
 credentials, mailbox names, and leading sequence-sets come out structured,
@@ -14,12 +14,13 @@ lines are capped at 64 KiB, Dovecot's default line limit.
 
 from __future__ import annotations
 
+import base64
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
-from .errors import ImapSyntaxError, LineTooLong, LiteralTooLarge
+from .errors import ClientGone, ImapSyntaxError, LineTooLong, LiteralTooLarge
 
 CRLF = b"\r\n"
 LITERAL_CAP = 1024 * 1024
@@ -30,16 +31,19 @@ GREETING = b"* OK IMAP4rev1 service ready\r\n"
 
 # Advertised on both listener and mock upstream; extensions the proxy
 # cannot filter (IDLE, CONDSTORE, QRESYNC, ...) are never advertised.
-CAPABILITY_TOKENS = ("IMAP4rev1", "AUTH=PLAIN")
+CAPABILITY_LINE = b"* CAPABILITY IMAP4rev1 AUTH=PLAIN\r\n"
 
 BYE_LINE = b"* BYE IMAP4rev1 server logging out\r\n"
 NOT_AUTHENTICATED_TEXT = "not authenticated"
 NO_MAILBOX_TEXT = "no mailbox selected"
+UNSUPPORTED_MECHANISM_TEXT = "unsupported authentication mechanism"
+STATUS_ITEMS = ("MESSAGES", "RECENT", "UIDNEXT", "UIDVALIDITY", "UNSEEN")
 
 _TAG_RE = re.compile(rb'^[^(){ %*"\\+\x00-\x1f\x7f-\xff]{1,32}$')  # RFC 3501 §9: ASTRING-CHAR but "+"
 _ATOM_RE = re.compile(rb'[^(){ %*"\\\x00-\x1f\x7f-\xff]+')
 _VERB_RE = re.compile(rb"[A-Za-z0-9._-]+")
 _LITERAL_TAIL_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n$")
+SEQ_SET_TOKEN_RE = re.compile(rb"[0-9*][0-9:,*]*")
 
 
 def completion_text(name: str) -> str:
@@ -167,7 +171,7 @@ class _Scanner:
         return m.group(0)
 
     def read_seq_set_token(self) -> bytes:
-        m = re.compile(rb"[0-9:,*]+").match(self.line, self.pos)
+        m = SEQ_SET_TOKEN_RE.match(self.line, self.pos)
         if not m:
             raise ImapSyntaxError(f"expected sequence set at {self.remaining()[:20]!r}")
         self.pos = m.end()
@@ -331,6 +335,67 @@ def parse_command(line: bytes, io: CommandIO | None = None) -> Command:
     return cmd
 
 
+def plain_credentials(cmd: Command, io: CommandIO) -> tuple[str, str] | None:
+    """The (authcid, password) an AUTHENTICATE *cmd* carries (RFC 4616
+    PLAIN), from its line or, after a "+ " prompt, from the next line
+    *io* reads; None for another mechanism. Raises ImapSyntaxError, whose
+    text is the BAD to answer, when the client cancels with "*" or sends
+    no valid PLAIN response, and ClientGone when it closes instead."""
+    parts = cmd.rest.split()
+    if not parts or parts[0].upper() != b"PLAIN":
+        return None
+    if len(parts) > 1:
+        blob = parts[1]
+    else:
+        io.send_continuation()
+        line = io.read_line()
+        if not line:
+            raise ClientGone("client closed during AUTHENTICATE")
+        blob = line.strip()
+        if blob == b"*":
+            raise ImapSyntaxError("AUTHENTICATE cancelled")
+    try:
+        _authzid, authcid, password = base64.b64decode(blob, validate=True).split(b"\x00")
+    except ValueError:
+        raise ImapSyntaxError("malformed AUTHENTICATE response") from None
+    return authcid.decode("utf-8", "replace"), password.decode("utf-8", "replace")
+
+
+def parse_status_items(rest: bytes) -> list[str]:
+    """The STATUS_ITEMS a STATUS command's *rest* asks for, upper-cased, in
+    its order. Raises ImapSyntaxError for a list that is not parenthesized,
+    is empty or names another item."""
+    items = rest.strip()
+    if not items.startswith(b"(") or not items.endswith(b")"):
+        raise ImapSyntaxError("STATUS items must be parenthesized")
+    requested = [item.decode("ascii", "replace").upper() for item in items[1:-1].split()]
+    if not requested:
+        raise ImapSyntaxError("no STATUS items")
+    for item in requested:
+        if item not in STATUS_ITEMS:
+            raise ImapSyntaxError(f"unknown STATUS item {item}")
+    return requested
+
+
+def status_line(mailbox: str, values: list[tuple[str, int]]) -> bytes:
+    """The untagged STATUS reply naming *values*, (item, value) pairs in
+    the order asked."""
+    rendered = " ".join(f"{item} {value}" for item, value in values)
+    return b"* STATUS " + render_astring(mailbox) + f" ({rendered})".encode("ascii") + CRLF
+
+
+def select_lines(exists: int, uidvalidity: int, uidnext: int) -> bytes:
+    """The untagged lines of a SELECT reply (RFC 3501 §6.3.1), naming the
+    system flags only and no recent messages."""
+    return (
+        b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n"
+        b"* %d EXISTS\r\n"
+        b"* 0 RECENT\r\n"
+        b"* OK [UIDVALIDITY %d] UIDs valid\r\n"
+        b"* OK [UIDNEXT %d] Predicted next UID\r\n"
+    ) % (exists, uidvalidity, uidnext)
+
+
 # -- sequence sets --------------------------------------------------------------
 
 _SEQ_ITEM_RE = re.compile(r"^(\*|[1-9][0-9]*)(?::(\*|[1-9][0-9]*))?$")
@@ -355,15 +420,21 @@ class SequenceSet:
                 parts.append(f"{lo}:{hi}")
         return ",".join(parts)
 
+    def with_star(self, star: int) -> "SequenceSet":
+        """This set with '*' read as *star*; each range keeps its endpoints
+        in the order they came."""
+        ranges = [
+            (star if lo is None else lo, star if hi is None else hi) for lo, hi in self.ranges
+        ]
+        return SequenceSet(tuple(ranges))
+
     def expand(self, exists: int) -> list[int]:
         """Resolve '*' to *exists*, reorder endpoints, clip to 1..exists.
 
         Numbers beyond *exists* are dropped; result ascending, deduplicated.
         """
         chosen: set[int] = set()
-        for lo, hi in self.ranges:
-            a = exists if lo is None else lo
-            b = exists if hi is None else hi
+        for a, b in self.with_star(exists).ranges:
             start, stop = min(a, b), max(a, b)
             stop = min(stop, exists)
             if start > stop:
@@ -447,7 +518,32 @@ _SEARCH_KEY_ARGS = {
 }
 # a literal (its body follows), a quoted string, an atom, or a delimiter
 _SEARCH_TOKEN_RE = re.compile(rb'\{(\d+)\+?\}\r\n|"(?:[^"\\]|\\.)*"|[^ ()"{]+|[ ()]')
-_SEQ_SET_TOKEN_RE = re.compile(rb"[0-9*][0-9:,*]*")
+_QUOTED_ESCAPE_RE = re.compile(rb"\\(.)", re.S)
+
+
+def search_tokens(arguments: bytes) -> Iterator[bytes]:
+    """The tokens of SEARCH or LIST *arguments*, each as sent: a literal
+    with its {n} marker, a quoted string with its quotes, an atom, or one
+    of the delimiters " ", "(" and ")". Raises ImapSyntaxError where they
+    cannot be scanned."""
+    pos = 0
+    while pos < len(arguments):
+        m = _SEARCH_TOKEN_RE.match(arguments, pos)
+        if m is None:
+            raise ImapSyntaxError(f"cannot scan SEARCH criteria at {arguments[pos : pos + 20]!r}")
+        end = m.end() + int(m.group(1)) if m.group(1) is not None else m.end()
+        yield arguments[pos:end]
+        pos = end
+
+
+def token_value(token: bytes) -> bytes:
+    """The string a search_tokens *token* stands for: a literal's body, a
+    quoted string's unescaped content, else the token itself."""
+    if token[:1] == b'"':
+        return _QUOTED_ESCAPE_RE.sub(rb"\1", token[1:-1])
+    if token[:1] == b"{":
+        return token[token.index(b"\n") + 1 :]
+    return token
 
 
 def map_search_sets(
@@ -465,28 +561,21 @@ def map_search_sets(
     scanned raise ImapSyntaxError.
     """
     out = bytearray()
-    pos = 0
     skip = 0  # key arguments still to pass over
     after_uid = False
-    while pos < len(criteria):
-        m = _SEARCH_TOKEN_RE.match(criteria, pos)
-        if m is None:
-            raise ImapSyntaxError(f"cannot scan SEARCH criteria at {criteria[pos : pos + 20]!r}")
-        literal = m.group(1) is not None
-        end = m.end() + int(m.group(1)) if literal else m.end()
-        token, pos = criteria[pos:end], end
+    for token in search_tokens(criteria):
         if token in (b" ", b"(", b")"):
             pass
         elif skip:
             skip -= 1
-        elif after_uid or _SEQ_SET_TOKEN_RE.fullmatch(token):
+        elif after_uid or SEQ_SET_TOKEN_RE.fullmatch(token):
             mapper = map_uids if after_uid else map_seqs
             mapped = mapper(parse_sequence_set(token.decode("latin-1")))
             if not mapped.ranges:
                 raise ImapSyntaxError("invalid sequence set")
             token = mapped.render().encode("ascii")
             after_uid = False
-        elif literal or token[:1] == b'"' or token.upper() not in _SEARCH_KEY_ARGS:
+        elif token[:1] in (b"{", b'"') or token.upper() not in _SEARCH_KEY_ARGS:
             raise ImapSyntaxError(f"unknown SEARCH key {token[:20]!r}")
         else:
             skip = _SEARCH_KEY_ARGS[token.upper()]
@@ -751,7 +840,6 @@ _FETCH_ATOM_RE = re.compile(rb"[^ ()]+")
 _FETCH_LITERAL_RE = re.compile(rb"\{(\d+)\}\r\n")
 # A quoted string's body and closing quote; a backslash escapes any byte.
 _FETCH_QUOTED_RE = re.compile(rb'((?:[^"\\]|\\.)*)"', re.S)
-_FETCH_ESCAPE_RE = re.compile(rb"\\(.)", re.S)
 # What a parenthesized group's scan stops at.
 _FETCH_GROUP_MARK_RE = re.compile(rb'[()"{]')
 
@@ -820,7 +908,7 @@ def _fetch_value(data: bytes, pos: int) -> tuple[bytes | int | None, int]:
         quoted = _FETCH_QUOTED_RE.match(data, pos + 1)
         if quoted is None:
             raise ImapSyntaxError("unterminated quoted string in FETCH attributes")
-        return _FETCH_ESCAPE_RE.sub(rb"\1", quoted.group(1)), quoted.end()
+        return _QUOTED_ESCAPE_RE.sub(rb"\1", quoted.group(1)), quoted.end()
     if c == b"{":
         lm = _FETCH_LITERAL_RE.match(data, pos)
         if not lm:

@@ -8,7 +8,9 @@ connection — that surface between client commands.
 Responses are deterministic for a given fixture and command sequence:
 INTERNALDATE derives from the UID, RECENT is always 0, and flag order is
 canonicalized. The grammar comes from imapcodec, the same module the
-proxy uses, so the two cannot drift apart.
+proxy uses, so the two cannot drift apart: commands and reply tags, SEARCH
+and LIST arguments, AUTHENTICATE PLAIN, STATUS items, sequence sets and
+the CAPABILITY and SELECT lines.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import email.utils
 import re
 import socket
 import threading
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import imapcodec
-from .errors import ImapSyntaxError, LineTooLong, LiteralTooLarge, ManifestError
+from .errors import ClientGone, ImapSyntaxError, LineTooLong, LiteralTooLarge, ManifestError
 from .imapcodec import CRLF, Verb, completion_text
 
 _FLAG_ORDER = ("\\Answered", "\\Flagged", "\\Deleted", "\\Seen", "\\Draft")
@@ -218,57 +221,6 @@ _SECTION_RE = re.compile(r"^(?:BODY|RFC822)(\.PEEK)?(?:\[([^\]]*)\])?(?:<(\d+)\.
 # -- search criteria ---------------------------------------------------------------
 
 
-class _RestScanner:
-    """Token reader over raw argument bytes with literals already inline."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.data)
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] == b" ":
-            self.pos += 1
-
-    def next_token(self) -> bytes:
-        self._skip_ws()
-        if self.pos >= len(self.data):
-            raise ImapSyntaxError("unexpected end of arguments")
-        c = self.data[self.pos : self.pos + 1]
-        if c == b'"':
-            out = bytearray()
-            i = self.pos + 1
-            while i < len(self.data):
-                ch = self.data[i : i + 1]
-                if ch == b"\\":
-                    out += self.data[i + 1 : i + 2]
-                    i += 2
-                elif ch == b'"':
-                    self.pos = i + 1
-                    return bytes(out)
-                else:
-                    out += ch
-                    i += 1
-            raise ImapSyntaxError("unterminated quoted string")
-        if c == b"{":
-            m = re.match(rb"\{(\d+)\+?\}\r\n", self.data[self.pos :])
-            if not m:
-                raise ImapSyntaxError("malformed literal")
-            size = int(m.group(1))
-            start = self.pos + m.end()
-            if start + size > len(self.data):
-                raise ImapSyntaxError("truncated literal")
-            self.pos = start + size
-            return self.data[start : start + size]
-        m = re.match(rb"[^ ]+", self.data[self.pos :])
-        assert m is not None
-        self.pos += m.end()
-        return m.group(0)
-
-
 _FLAG_CRITERIA = {
     "SEEN": ("\\Seen", True),
     "UNSEEN": ("\\Seen", False),
@@ -282,26 +234,12 @@ _FLAG_CRITERIA = {
     "UNDRAFT": ("\\Draft", False),
 }
 
-_SEQ_SET_TOKEN_RE = re.compile(rb"^[0-9*][0-9:,*]*$")
-
-
-def _uid_in_set(uid: int, seq_set: imapcodec.SequenceSet, max_uid: int) -> bool:
-    for lo, hi in seq_set.ranges:
-        a = max_uid if lo is None else lo
-        b = max_uid if hi is None else hi
-        if min(a, b) <= uid <= max(a, b):
-            return True
-    return False
-
-
 def _header_contains(raw: bytes, header: str, needle: bytes) -> bool:
     value = _get_header(raw, header)
     return value is not None and needle.lower() in value.encode("utf-8", "replace").lower()
 
 
-def _search_matches(
-    msg: StoredMessage, seq: int, exists: int, max_uid: int, criteria: list
-) -> bool:
+def _search_matches(msg: StoredMessage, seq: int, criteria: list) -> bool:
     for item in criteria:
         kind = item[0]
         if kind == "all":
@@ -321,25 +259,34 @@ def _search_matches(
             _, needle = item
             if needle.lower() not in _split_message(msg.raw)[1].lower():
                 return False
-        elif kind == "uid":
-            if not _uid_in_set(msg.uid, item[1], max_uid):
-                return False
-        elif kind == "seq":
-            if seq not in item[1].expand(exists):
+        elif kind == "seqs":
+            if seq not in item[1]:
                 return False
         else:  # pragma: no cover - parse stage rejects unknowns
             raise ImapSyntaxError(f"unhandled criterion {kind}")
     return True
 
 
+def _arguments(rest: bytes) -> list[bytes]:
+    """The strings the tokens of *rest* stand for, spaces dropped."""
+    return [imapcodec.token_value(t) for t in imapcodec.search_tokens(rest) if t != b" "]
+
+
 def _parse_search_criteria(rest: bytes) -> list:
-    scanner = _RestScanner(rest)
+    """The criteria in *rest*; a sequence set is ("set", set, by UID)."""
+    args = iter(_arguments(rest))
+
+    def arg() -> bytes:
+        value = next(args, None)
+        if value is None:
+            raise ImapSyntaxError("unexpected end of arguments")
+        return value
+
     criteria: list = []
-    while not scanner.at_end():
-        token = scanner.next_token()
+    for token in args:
         word = token.decode("latin-1").upper()
         if word == "CHARSET":
-            charset = scanner.next_token().decode("latin-1").upper()
+            charset = arg().decode("latin-1").upper()
             if charset not in ("US-ASCII", "UTF-8"):
                 raise ImapSyntaxError(f"unsupported charset {charset}")
         elif word == "ALL":
@@ -348,18 +295,18 @@ def _parse_search_criteria(rest: bytes) -> list:
             flag, want = _FLAG_CRITERIA[word]
             criteria.append(("flag", flag, want))
         elif word in ("FROM", "TO", "CC", "BCC", "SUBJECT"):
-            criteria.append(("header", word.capitalize(), scanner.next_token()))
+            criteria.append(("header", word.capitalize(), arg()))
         elif word == "HEADER":
-            header = scanner.next_token().decode("latin-1")
-            criteria.append(("header", header, scanner.next_token()))
+            header = arg().decode("latin-1")
+            criteria.append(("header", header, arg()))
         elif word == "TEXT":
-            criteria.append(("text", scanner.next_token()))
+            criteria.append(("text", arg()))
         elif word == "BODY":
-            criteria.append(("body", scanner.next_token()))
+            criteria.append(("body", arg()))
         elif word == "UID":
-            criteria.append(("uid", imapcodec.parse_sequence_set(scanner.next_token().decode("ascii"))))
-        elif _SEQ_SET_TOKEN_RE.match(token):
-            criteria.append(("seq", imapcodec.parse_sequence_set(token.decode("ascii"))))
+            criteria.append(("set", imapcodec.parse_sequence_set(arg().decode("latin-1")), True))
+        elif imapcodec.SEQ_SET_TOKEN_RE.fullmatch(token):
+            criteria.append(("set", imapcodec.parse_sequence_set(word), False))
         else:
             raise ImapSyntaxError(f"unsupported search criterion {word}")
     return criteria
@@ -370,19 +317,23 @@ def _match_mailbox_pattern(name: str, pattern: str) -> bool:
     return re.fullmatch(regex, name, re.I if name.upper() == "INBOX" else 0) is not None
 
 
+def _targets(mb: FixtureMailbox, seq_set, by_uid: bool) -> list[tuple[int, StoredMessage]]:
+    """The (seq, message) pairs *seq_set* names in *mb*, in mailbox order;
+    by UID when *by_uid*, '*' then being the largest UID."""
+    if not by_uid:
+        return [(seq, mb.messages[seq - 1]) for seq in seq_set.expand(mb.exists())]
+    uids = [msg.uid for msg in mb.messages]
+    seqs: set[int] = set()
+    for a, b in seq_set.with_star(uids[-1] if uids else 0).ranges:
+        seqs.update(range(bisect_left(uids, min(a, b)) + 1, bisect_right(uids, max(a, b)) + 1))
+    return [(seq, mb.messages[seq - 1]) for seq in sorted(seqs)]
+
+
 # -- the server --------------------------------------------------------------------
 
 
 class _Drop(Exception):
     """Raised internally to sever the current connection."""
-
-
-@dataclass
-class _PendingEvents:
-    items: list = field(default_factory=list)
-
-    def clear(self) -> None:
-        self.items.clear()
 
 
 class MockIMAPServer:
@@ -407,7 +358,7 @@ class MockIMAPServer:
         self.received: list[imapcodec.Command] = []
         self.transcript: list[bytes] = []
         self._lock = threading.Lock()
-        self._pending = _PendingEvents()
+        self._pending: list[tuple] = []  # events for the next command, in order
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._thread: threading.Thread | None = None
@@ -456,7 +407,7 @@ class MockIMAPServer:
             uid = mb.uidnext
             mb.uidnext += 1
             mb.messages.append(StoredMessage(uid, _order_flags(flags), _normalize_crlf(raw)))
-            self._pending.items.append(("exists", mailbox, mb.exists()))
+            self._pending.append(("exists", mailbox, mb.exists()))
             return uid
 
     def inject_expunge(self, mailbox: str, uid: int) -> None:
@@ -466,14 +417,14 @@ class MockIMAPServer:
             for idx, msg in enumerate(mb.messages):
                 if msg.uid == uid:
                     del mb.messages[idx]
-                    self._pending.items.append(("expunge", mailbox, idx + 1))
+                    self._pending.append(("expunge", mailbox, idx + 1))
                     return
             raise KeyError(f"no message with uid {uid}")
 
     def drop_connection(self) -> None:
         """Sever the client connection when the next command arrives."""
         with self._lock:
-            self._pending.items.append(("drop",))
+            self._pending.append(("drop",))
 
     # -- serving -----------------------------------------------------------
 
@@ -486,7 +437,7 @@ class MockIMAPServer:
             self._conn = conn
             try:
                 self._handle_connection(conn)
-            except (_Drop, OSError, ImapSyntaxError, LineTooLong):
+            except (_Drop, OSError, ClientGone, ImapSyntaxError, LineTooLong):
                 pass
             finally:
                 try:
@@ -506,25 +457,19 @@ class MockIMAPServer:
             wfile.flush()
 
         send(imapcodec.GREETING)
-        state = {"auth": False, "selected": None, "readonly": False}
-        while True:
-            line = rfile.readline()
-            if not line:
-                return
+        state = {"auth": False, "selected": None, "readonly": False, "io": io}
+        while line := rfile.readline():
             try:
                 cmd = imapcodec.parse_command(line, io)
             except LiteralTooLarge:
-                tag = line.split(b" ", 1)[0].decode("ascii", "replace")
-                send(f"{tag} BAD literal too large\r\n".encode())
+                send(f"{imapcodec.reply_tag(line)} BAD literal too large\r\n".encode())
                 return
             except ImapSyntaxError as exc:
-                tag = line.split(b" ", 1)[0].decode("ascii", "replace") or "*"
-                send(f"{tag} BAD {exc}\r\n".encode())
+                send(f"{imapcodec.reply_tag(line)} BAD {exc}\r\n".encode())
                 continue
             self.received.append(cmd)
             with self._lock:
-                pending = list(self._pending.items)
-                self._pending.clear()
+                pending, self._pending = self._pending, []
             for event in pending:
                 if event[0] == "drop":
                     raise _Drop
@@ -545,9 +490,7 @@ class MockIMAPServer:
     def _dispatch(self, cmd: imapcodec.Command, send, state) -> bool:
         verb = cmd.verb
         if verb is Verb.CAPABILITY:
-            send(
-                ("* CAPABILITY " + " ".join(imapcodec.CAPABILITY_TOKENS)).encode() + CRLF
-            )
+            send(imapcodec.CAPABILITY_LINE)
             send(self._ok(cmd))
         elif verb is Verb.NOOP:
             send(self._ok(cmd))
@@ -555,16 +498,16 @@ class MockIMAPServer:
             send(imapcodec.BYE_LINE)
             send(self._ok(cmd))
             return False
-        elif verb is Verb.LOGIN:
-            assert cmd.login is not None
-            user, password = cmd.login
-            if self.credentials.get(user) == password:
+        elif verb in (Verb.LOGIN, Verb.AUTHENTICATE):
+            io = state["io"]
+            creds = cmd.login if verb is Verb.LOGIN else imapcodec.plain_credentials(cmd, io)
+            if creds is None:
+                send(f"{cmd.tag} NO {imapcodec.UNSUPPORTED_MECHANISM_TEXT}\r\n".encode())
+            elif self.credentials.get(creds[0]) == creds[1]:
                 state["auth"] = True
                 send(self._ok(cmd))
             else:
                 send(f"{cmd.tag} NO LOGIN failed\r\n".encode())
-        elif verb is Verb.AUTHENTICATE:
-            self._authenticate(cmd, send, state)
         elif not state["auth"]:
             send(f"{cmd.tag} NO {imapcodec.NOT_AUTHENTICATED_TEXT}\r\n".encode())
         elif verb in (Verb.SELECT, Verb.EXAMINE):
@@ -599,42 +542,6 @@ class MockIMAPServer:
         prefix = f"[{code}] " if code else ""
         return f"{cmd.tag} OK {prefix}{completion_text(cmd.name)}\r\n".encode()
 
-    def _authenticate(self, cmd, send, state) -> None:
-        import base64
-
-        parts = cmd.rest.split()
-        if not parts or parts[0].upper() != b"PLAIN":
-            send(f"{cmd.tag} NO unsupported mechanism\r\n".encode())
-            return
-        if len(parts) > 1:
-            blob = parts[1]
-        else:
-            send(b"+ \r\n")
-            # the continuation line arrives outside parse_command
-            blob = self._read_auth_line()
-            if blob is None:
-                return
-        try:
-            decoded = base64.b64decode(blob, validate=True)
-            _, user, password = decoded.split(b"\x00")
-        except ValueError:
-            send(f"{cmd.tag} BAD malformed AUTHENTICATE response\r\n".encode())
-            return
-        if self.credentials.get(user.decode("utf-8", "replace")) == password.decode(
-            "utf-8", "replace"
-        ):
-            state["auth"] = True
-            send(self._ok(cmd))
-        else:
-            send(f"{cmd.tag} NO LOGIN failed\r\n".encode())
-
-    def _read_auth_line(self) -> bytes | None:
-        conn = self._conn
-        assert conn is not None
-        rfile = conn.makefile("rb")
-        line = rfile.readline()
-        return line.strip() if line else None
-
     def _resolve_mailbox(self, name: str) -> FixtureMailbox | None:
         if name.upper() == "INBOX":
             name = "INBOX"
@@ -652,17 +559,14 @@ class MockIMAPServer:
         readonly = cmd.verb is Verb.EXAMINE
         state["selected"] = mb.name
         state["readonly"] = readonly
-        send(b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n")
-        send(b"* %d EXISTS\r\n" % mb.exists())
-        send(b"* 0 RECENT\r\n")
-        send(f"* OK [UIDVALIDITY {mb.uidvalidity}] UIDs valid\r\n".encode())
-        send(f"* OK [UIDNEXT {mb.uidnext}] Predicted next UID\r\n".encode())
+        send(imapcodec.select_lines(mb.exists(), mb.uidvalidity, mb.uidnext))
         send(self._ok(cmd, "READ-ONLY" if readonly else "READ-WRITE"))
 
     def _list(self, cmd, send) -> None:
-        scanner = _RestScanner(cmd.rest)
-        scanner.next_token()  # reference, unused
-        pattern = scanner.next_token().decode("utf-8", "replace")
+        args = _arguments(cmd.rest)
+        if len(args) != 2:
+            raise ImapSyntaxError(f"{cmd.name} takes a reference and a mailbox pattern")
+        pattern = args[1].decode("utf-8", "replace")
         keyword = cmd.name.encode("ascii")
         for name in sorted(self.mailboxes):
             if _match_mailbox_pattern(name, pattern):
@@ -671,13 +575,11 @@ class MockIMAPServer:
 
     def _status(self, cmd, send) -> None:
         assert cmd.mailbox is not None
+        items = imapcodec.parse_status_items(cmd.rest)
         mb = self._resolve_mailbox(cmd.mailbox)
         if mb is None:
             send(f"{cmd.tag} NO No such mailbox\r\n".encode())
             return
-        items_raw = cmd.rest.strip()
-        if not items_raw.startswith(b"(") or not items_raw.endswith(b")"):
-            raise ImapSyntaxError("STATUS items must be parenthesized")
         values = {
             "MESSAGES": mb.exists(),
             "RECENT": 0,
@@ -685,18 +587,7 @@ class MockIMAPServer:
             "UIDVALIDITY": mb.uidvalidity,
             "UNSEEN": sum(1 for m in mb.messages if not m.has_flag("\\Seen")),
         }
-        out = []
-        for item in items_raw[1:-1].split():
-            name = item.decode("ascii").upper()
-            if name not in values:
-                raise ImapSyntaxError(f"unknown STATUS item {name}")
-            out.append(f"{name} {values[name]}")
-        send(
-            b"* STATUS "
-            + imapcodec.render_astring(mb.name)
-            + f" ({' '.join(out)})".encode()
-            + CRLF
-        )
+        send(imapcodec.status_line(mb.name, [(item, values[item]) for item in items]))
         send(self._ok(cmd))
 
     def _append(self, cmd, send, state) -> None:
@@ -718,7 +609,7 @@ class MockIMAPServer:
                 StoredMessage(uid, _order_flags(flags), _normalize_crlf(cmd.literals[-1]))
             )
             if state["selected"] == mb.name:
-                self._pending.items.append(("exists", mb.name, mb.exists()))
+                self._pending.append(("exists", mb.name, mb.exists()))
         send(self._ok(cmd))
 
     # -- fetch ---------------------------------------------------------------
@@ -726,7 +617,7 @@ class MockIMAPServer:
     def _fetch(self, cmd, send, state, by_uid: bool) -> None:
         mb = self.mailboxes[state["selected"]]
         assert cmd.seq_set is not None
-        targets = self._expand_targets(mb, cmd.seq_set, by_uid)
+        targets = _targets(mb, cmd.seq_set, by_uid)
         attr_names = self._fetch_attr_names(cmd.rest)
         for seq, msg in targets:
             parts: list[bytes] = []
@@ -736,17 +627,6 @@ class MockIMAPServer:
                 parts.append(b"UID %d" % msg.uid)
             send(b"* %d FETCH (" % seq + b" ".join(parts) + b")" + CRLF)
         send(self._ok(cmd))
-
-    def _expand_targets(self, mb, seq_set, by_uid) -> list[tuple[int, StoredMessage]]:
-        if by_uid:
-            max_uid = mb.messages[-1].uid if mb.messages else 0
-            return [
-                (seq, msg)
-                for seq, msg in enumerate(mb.messages, start=1)
-                if _uid_in_set(msg.uid, seq_set, max_uid)
-            ]
-        chosen = set(seq_set.expand(mb.exists()))
-        return [(seq, mb.messages[seq - 1]) for seq in sorted(chosen)]
 
     def _fetch_attr_names(self, rest: bytes) -> list[str]:
         text = rest.strip()
@@ -805,19 +685,21 @@ class MockIMAPServer:
     def _search(self, cmd, send, state, by_uid: bool) -> None:
         mb = self.mailboxes[state["selected"]]
         criteria = _parse_search_criteria(cmd.rest)
-        exists = mb.exists()
-        max_uid = mb.messages[-1].uid if mb.messages else 0
-        hits = []
-        for seq, msg in enumerate(mb.messages, start=1):
-            if _search_matches(msg, seq, exists, max_uid, criteria):
-                hits.append(msg.uid if by_uid else seq)
+        for i, item in enumerate(criteria):
+            if item[0] == "set":  # of seqs or of UIDs: resolved to the seqs it names
+                criteria[i] = ("seqs", {seq for seq, _ in _targets(mb, item[1], item[2])})
+        hits = [
+            msg.uid if by_uid else seq
+            for seq, msg in enumerate(mb.messages, start=1)
+            if _search_matches(msg, seq, criteria)
+        ]
         send(imapcodec.render_response(imapcodec.SearchData(tuple(hits))))
         send(self._ok(cmd))
 
     def _store(self, cmd, send, state, by_uid: bool) -> None:
         mb = self.mailboxes[state["selected"]]
         assert cmd.seq_set is not None
-        targets = self._expand_targets(mb, cmd.seq_set, by_uid)
+        targets = _targets(mb, cmd.seq_set, by_uid)
         m = re.match(rb"([+-]?)FLAGS(\.SILENT)? (.+)$", cmd.rest, re.I)
         if not m:
             raise ImapSyntaxError("unsupported STORE operation")

@@ -21,7 +21,6 @@ Fail-closed rules, in one place:
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import io
 import logging
@@ -82,9 +81,8 @@ log = logging.getLogger("chamail.proxy")
 _META_HEADER_FIELDS = "FROM SUBJECT CONTENT-TYPE CONTENT-TRANSFER-ENCODING MIME-VERSION"
 _LITERAL_MARKER_RE = re.compile(rb"\{(\d+)(\+?)\}\r\n")
 _TAGGED_STATUS_RE = re.compile(rb"^([^ ]+) (OK|NO|BAD)(?: |\r\n)")
-# A sub-user's SELECT names the system flags only: the upstream's list
-# also names keywords, and one set only on hidden messages would show them.
-_SYSTEM_FLAGS_LINE = b"* FLAGS (\\Answered \\Flagged \\Deleted \\Seen \\Draft)\r\n"
+# seconds the upstream has to greet and to answer LOGIN
+UPSTREAM_TIMEOUT = 10.0
 
 AUTH_FAILED_TEXT = "LOGIN failed"
 UPSTREAM_FAILED_TEXT = "upstream unavailable"
@@ -127,26 +125,29 @@ class UpstreamConnection:
     """Blocking IMAP connection to the real server, one per session.
 
     *before_read* runs before every read that waits on the server; the
-    session passes the flush of its client writer.
+    session passes the flush of its client writer. The socket keeps the
+    UPSTREAM_TIMEOUT it connects with until the session clears it after
+    LOGIN, so a server that never greets or never answers LOGIN fails it.
     """
 
-    def __init__(
-        self, host: str, port: int, use_tls: bool, before_read, timeout: float = 10.0
-    ):
+    def __init__(self, host: str, port: int, use_tls: bool, before_read):
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
+            sock = socket.create_connection((host, port), timeout=UPSTREAM_TIMEOUT)
             _no_delay(sock)
             if use_tls:
                 context = ssl.create_default_context()
                 sock = context.wrap_socket(sock, server_hostname=host)
         except OSError as exc:
             raise UpstreamUnavailable(f"cannot connect to {host}:{port}: {exc}") from exc
-        sock.settimeout(None)
         self.sock = sock
         self.rfile = io.BufferedReader(_FlushFirstIO(sock, before_read))
         self.wfile = sock.makefile("wb")
         self._tag_counter = 0
-        greeting = self.read_blob()
+        try:
+            greeting = self.read_blob()
+        except UpstreamUnavailable:
+            self.close()
+            raise
         parsed = parse_response(greeting)
         if not (isinstance(parsed, UntaggedStatus) and parsed.status in ("OK", "PREAUTH")):
             self.close()
@@ -316,9 +317,7 @@ class ClientSession:
         """Handle one command; False ends the session."""
         verb = cmd.verb
         if verb is Verb.CAPABILITY:
-            self._send(
-                ("* CAPABILITY " + " ".join(imapcodec.CAPABILITY_TOKENS)).encode() + CRLF
-            )
+            self._send(imapcodec.CAPABILITY_LINE)
             self._tagged(cmd.tag, "OK", completion_text(cmd.name))
             return True
         if verb is Verb.LOGOUT:
@@ -342,30 +341,15 @@ class ClientSession:
     # -- authentication ------------------------------------------------------------
 
     def _handle_authenticate(self, cmd: Command) -> None:
-        parts = cmd.rest.split()
-        if not parts or parts[0].upper() != b"PLAIN":
-            self._tagged(cmd.tag, "NO", "unsupported authentication mechanism")
-            return
-        if len(parts) > 1:
-            blob = parts[1]
-        else:
-            self._send(b"+ \r\n")
-            line = self.io.read_line()
-            if not line:
-                raise OSError("client closed during AUTHENTICATE")
-            blob = line.strip()
-            if blob == b"*":
-                self._tagged(cmd.tag, "BAD", "AUTHENTICATE cancelled")
-                return
         try:
-            decoded = base64.b64decode(blob, validate=True)
-            _authzid, authcid, password = decoded.split(b"\x00")
-        except ValueError:
-            self._tagged(cmd.tag, "BAD", "malformed AUTHENTICATE response")
+            creds = imapcodec.plain_credentials(cmd, self.io)
+        except ImapSyntaxError as exc:
+            self._tagged(cmd.tag, "BAD", str(exc))
             return
-        self._handle_login(
-            cmd, (authcid.decode("utf-8", "replace"), password.decode("utf-8", "replace"))
-        )
+        if creds is None:
+            self._tagged(cmd.tag, "NO", imapcodec.UNSUPPORTED_MECHANISM_TEXT)
+            return
+        self._handle_login(cmd, creds)
 
     def _handle_login(self, cmd: Command, creds: tuple[str, str] | None) -> None:
         assert creds is not None
@@ -417,6 +401,7 @@ class ClientSession:
             self._tagged(cmd.tag, "NO", "upstream login failed")
             return
 
+        upstream.sock.settimeout(None)  # from here the session waits as long as the upstream takes
         self.upstream = upstream
         self.upstream_id = (host, port, target.upstream_login)
         self.principal = principal
@@ -441,21 +426,31 @@ class ClientSession:
 
     def _pipe(self) -> str:
         """Copy bytes both ways, first what the readers already hold (commands
-        pipelined behind the LOGIN), until either side ends; returns which,
-        "client" or "upstream". One thread serves both ways: an SSLSocket is
-        not safe to read and write from two."""
+        pipelined behind the LOGIN), until either side ends or its socket
+        fails; returns which, "client" or "upstream". One thread serves both
+        ways: an SSLSocket is not safe to read and write from two."""
         assert self.upstream is not None
-        ends = {self.conn: (self.rfile, self.upstream.wfile)}
-        ends[self.upstream.sock] = (self.upstream.rfile, self.wfile)
+        ends = {self.conn: (self.rfile, self.upstream.wfile, "client", "upstream")}
+        ends[self.upstream.sock] = (self.upstream.rfile, self.wfile, "upstream", "client")
 
-        def relay(sock) -> bool:  # False at end of stream
-            rfile, wfile = ends[sock]
-            data = rfile.read1(1 << 16)
-            while data and isinstance(sock, ssl.SSLSocket) and (held := sock.pending()):
-                data += rfile.read1(held)  # decrypted already, so select would not see it
-            wfile.write(data)
-            wfile.flush()
-            return bool(data)
+        def relay(sock) -> str | None:  # the side that ended, if one did
+            rfile, wfile, side, other = ends[sock]
+            try:
+                data = rfile.read1(1 << 16)
+                while data and isinstance(sock, ssl.SSLSocket) and (held := sock.pending()):
+                    data += rfile.read1(held)  # decrypted already, so select would not see it
+            except ssl.SSLWantReadError:  # only in the first pass, which does not wait
+                raise
+            except OSError:
+                return side
+            if not data:
+                return side
+            try:
+                wfile.write(data)
+                wfile.flush()
+            except OSError:
+                return other
+            return None
 
         with selectors.DefaultSelector() as selector:
             for sock in ends:
@@ -466,8 +461,8 @@ class ClientSession:
                 selector.register(sock, selectors.EVENT_READ)
             while True:
                 for key, _ in selector.select():
-                    if not relay(key.fileobj):
-                        return "client" if key.fileobj is self.conn else "upstream"
+                    if ended := relay(key.fileobj):
+                        return ended
 
     # -- sub-user: filtered engine -------------------------------------------------
 
@@ -790,12 +785,10 @@ class ClientSession:
             self._complete(cmd, tagged)
             return
 
+        # The system flags only: the upstream's FLAGS list also names
+        # keywords, and one set only on hidden messages would show them.
         view = self.view
-        self._send(_SYSTEM_FLAGS_LINE)
-        self._send(b"* %d EXISTS\r\n" % view.exists())
-        self._send(b"* 0 RECENT\r\n")
-        self._send(b"* OK [UIDVALIDITY %d] UIDs valid\r\n" % view.uidvalidity)
-        self._send(b"* OK [UIDNEXT %d] Predicted next UID\r\n" % view.uidnext())
+        self._send(imapcodec.select_lines(view.exists(), view.uidvalidity, view.uidnext()))
         self._tagged(cmd.tag, "OK", f"[READ-ONLY] {completion_text(cmd.name)}")
 
     def _subuser_close(self, cmd: Command) -> None:
@@ -825,18 +818,10 @@ class ClientSession:
 
     def _subuser_status(self, cmd: Command) -> None:
         assert cmd.mailbox is not None
-        items_raw = cmd.rest.strip()
-        if not items_raw.startswith(b"(") or not items_raw.endswith(b")"):
-            self._tagged(cmd.tag, "BAD", "STATUS items must be parenthesized")
-            return
-        requested = [item.decode("ascii", "replace").upper() for item in items_raw[1:-1].split()]
-        if not requested:
-            self._tagged(cmd.tag, "BAD", "no STATUS items")
-            return
-        known = {"MESSAGES", "RECENT", "UNSEEN", "UIDNEXT", "UIDVALIDITY"}
-        unknown = [item for item in requested if item not in known]
-        if unknown:
-            self._tagged(cmd.tag, "BAD", f"unknown STATUS item {unknown[0]}")
+        try:
+            requested = imapcodec.parse_status_items(cmd.rest)
+        except ImapSyntaxError as exc:
+            self._tagged(cmd.tag, "BAD", str(exc))
             return
 
         tagged, values = self._inspect(cmd.mailbox, "UNSEEN" in requested)
@@ -847,13 +832,7 @@ class ClientSession:
             self._tagged(cmd.tag, "NO", "cannot inspect mailbox with filtering guaranteed")
             return
 
-        rendered = " ".join(f"{item} {values[item]}" for item in requested)
-        self._send(
-            b"* STATUS "
-            + imapcodec.render_astring(cmd.mailbox)
-            + f" ({rendered})".encode("ascii")
-            + CRLF
-        )
+        self._send(imapcodec.status_line(cmd.mailbox, [(item, values[item]) for item in requested]))
         self._tagged(cmd.tag, "OK", completion_text(cmd.name))
 
     def _inspect(self, target: str, unseen: bool) -> tuple[Tagged | None, dict[str, int]]:

@@ -146,9 +146,7 @@ class ViewMap:
             return bisect_left(self._uids, self._visible[virtual - 1]) + 1
 
         ranges = []
-        for lo, hi in virtual_set.ranges:
-            a = exists if lo is None else lo
-            b = exists if hi is None else hi
+        for a, b in virtual_set.with_star(exists).ranges:
             start, stop = max(min(a, b), 1), min(max(a, b), exists)
             if start <= stop:
                 ranges.append((upstream_seq(start), upstream_seq(stop)))
@@ -159,11 +157,7 @@ class ViewMap:
         the largest *visible* UID. Empty when nothing is visible."""
         if not self._visible:
             return SequenceSet(())
-        star = self._visible[-1]
-        ranges = [
-            (star if lo is None else lo, star if hi is None else hi) for lo, hi in uid_set.ranges
-        ]
-        return SequenceSet(tuple(ranges))
+        return uid_set.with_star(self._visible[-1])
 
     def map_down_seq(self, upstream_seq: int) -> int | None:
         """Virtual sequence number for *upstream_seq*, or None when it is

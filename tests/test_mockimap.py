@@ -1,10 +1,11 @@
 """The scripted upstream server: fixture loading and protocol behavior."""
 
+import base64
 import socket
 
 import pytest
 
-from conftest import ACCOUNT, FIXTURES, UPSTREAM_PASSWORD, ImapClient
+from conftest import ACCOUNT, FIXTURES, SPOUSE_PASSWORD, UPSTREAM_PASSWORD, ImapClient
 from chamail.errors import ManifestError
 from chamail.mockimap import FixtureMailbox, MockIMAPServer, StoredMessage, load_fixture
 
@@ -137,6 +138,53 @@ def test_authenticate_plain_continuation(mclient):
     blob = base64.b64encode(b"\x00" + ACCOUNT.encode() + b"\x00" + UPSTREAM_PASSWORD.encode())
     client.send(blob + b"\r\n")
     assert client._read() == b"a1 OK AUTHENTICATE completed\r\n"
+
+
+def test_a_command_pipelined_behind_the_plain_response_is_answered(mclient):
+    client = mclient()
+    client.sock.settimeout(3)
+    client.send(b"a1 AUTHENTICATE PLAIN\r\n")
+    assert client._read() == b"+ \r\n"
+    blob = base64.b64encode(b"\x00" + ACCOUNT.encode() + b"\x00" + UPSTREAM_PASSWORD.encode())
+    client.send(blob + b"\r\na2 NOOP\r\n")
+    assert client._read() == b"a1 OK AUTHENTICATE completed\r\n"
+    assert client._read() == b"a2 OK NOOP completed\r\n"
+
+
+@pytest.mark.parametrize(
+    "lines, logged_in",
+    [
+        ([b"(bad NOOP\r\n"], False),
+        ([b"a1 AUTHENTICATE PLAIN\r\n", b"*\r\n"], False),
+        ([b"a1 STATUS INBOX ()\r\n"], True),
+        ([b"a1 STATUS INBOX (HIGHESTMODSEQ)\r\n"], True),
+        (["a1 STATUS INBOX (MESSé)\r\n".encode()], True),
+    ],
+    ids=["tag", "plain-cancel", "status-no-items", "status-unknown-item", "status-non-ascii-item"],
+)
+def test_the_mock_and_the_proxy_answer_malformed_input_alike(mock6, connect, lines, logged_in):
+    """The same lines, sent to the mock directly and to the proxy, before
+    LOGIN or in a sub-user session, get the same replies."""
+
+    def replies(client, password):
+        client.sock.settimeout(3)
+        if logged_in:
+            login = b"a0 LOGIN person@gmail.com %s\r\n" % password.encode()
+            assert client.cmd(login)[-1] == b"a0 OK LOGIN completed\r\n"
+        out = []
+        for line in lines:
+            client.send(line)
+            out.append(client._read())
+        return out
+
+    direct = ImapClient(mock6.port)
+    try:
+        from_mock = replies(direct, UPSTREAM_PASSWORD)
+        direct.cmd(b"a9 LOGOUT\r\n")  # the mock serves one connection at a time
+    finally:
+        direct.close()
+    from_proxy = replies(connect(), SPOUSE_PASSWORD)
+    assert from_mock == from_proxy
 
 
 def test_select_announces_mailbox_shape(mclient):

@@ -364,6 +364,36 @@ def test_upstream_unreachable(tmp_path, master_key):
         client.close()
 
 
+@pytest.mark.parametrize("greets", [False, True], ids=["no-greeting", "no-login-reply"])
+def test_a_silent_upstream_fails_the_login_in_time(tmp_path, master_key, monkeypatch, greets):
+    monkeypatch.setattr(proxy_module, "UPSTREAM_TIMEOUT", 0.3)
+    listener = socket.create_server(("127.0.0.1", 0))
+    held = []
+
+    def serve():
+        conn, _ = listener.accept()
+        held.append(conn)
+        if greets:
+            conn.sendall(b"* OK silent upstream ready\r\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    cs = make_household_store(tmp_path / "store.json", listener.getsockname()[1], master_key)
+    try:
+        with ProxyServer(ProxyConfig(store_path=cs.path, listen_port=0), cs, master_key) as proxy:
+            client = ImapClient(proxy.port)
+            try:
+                out = client.cmd(b"t1 LOGIN person@gmail.com appleball\r\n")
+                assert out == [b"t1 NO upstream unavailable\r\n"]
+            finally:
+                client.close()
+    finally:
+        thread.join(timeout=5)
+        for conn in held:
+            conn.close()
+        listener.close()
+
+
 def test_upstream_rejects_stored_credential(tmp_path, master_key, mock6):
     cs = CredStore(str(tmp_path / "store.json"), kdf_params=FAST_KDF)
     cs.create_account(
@@ -496,6 +526,29 @@ def test_an_owner_sessions_log_says_which_side_ended_it(scripted_session, caplog
             time.sleep(0.02)
     [line] = ended()
     assert line.endswith(f"ended by the {side}")
+
+
+def test_an_upstream_reset_in_an_owner_pipe_is_logged_as_the_upstreams_end(
+    scripted_session, caplog
+):
+    def reset(line, send):  # send is the upstream connection's sendall
+        send.__self__.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        return False  # closes the connection, which the zero linger turns into a reset
+
+    client, _upstream = scripted_session(reset)
+
+    def logged():
+        return [r.getMessage() for r in caplog.records if r.name == "chamail.proxy"]
+
+    with caplog.at_level(logging.INFO, logger="chamail.proxy"):
+        client.send(b"a1 NOOP\r\n")
+        assert client._read() == b""
+        deadline = time.monotonic() + 5
+        while not any("owner session" in m for m in logged()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+    [line] = [m for m in logged() if "owner session" in m]
+    assert line.endswith("ended by the upstream")
+    assert not any("went away" in m for m in logged())
 
 
 _CONDSTORE_LOGIN = b"OK [CAPABILITY IMAP4rev1 IDLE CONDSTORE MOVE] Logged in"
