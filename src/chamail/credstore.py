@@ -6,10 +6,11 @@ bound to a visibility policy. Because an IMAP LOGIN carries no sub-user
 name, all passwords of an account must stay distinct: the collision check
 runs at write time so that login-time resolution is always unambiguous.
 
-Passwords are hashed with Argon2id; the parameters ride along in each
-record so cost can be raised later without breaking old records. The
-upstream account password is sealed with the service master key (see
-:mod:`chamail.store`) and unsealed only when a session connects upstream.
+Passwords are hashed with Argon2id under one salt and one set of
+parameters per account, both stored with the account, so a LOGIN derives
+once whichever principal it names. The upstream account password is
+sealed with the service master key (see :mod:`chamail.store`) and
+unsealed only when a session connects upstream.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _NAME_RE = re.compile(r"^[\x21-\x7e]{1,%d}$" % NAME_MAX)
 
 @dataclass(frozen=True)
 class KdfParams:
-    """Memory-hard KDF parameters, stored per credential record."""
+    """Memory-hard KDF parameters, stored per account."""
 
     algorithm: str = "argon2id"
     memory_cost: int = 32768  # KiB; ~50 ms per verify on desktop hardware
@@ -86,29 +87,11 @@ class KdfParams:
 DEFAULT_KDF_PARAMS = KdfParams()
 
 
-@dataclass(frozen=True)
-class CredentialRecord:
-    kdf_params: KdfParams
-    salt: bytes
-    hash: bytes
-
-    def to_json(self) -> dict:
-        return {
-            "kdf": self.kdf_params.to_json(),
-            "salt": self.salt.hex(),
-            "hash": self.hash.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CredentialRecord":
-        rec = cls(
-            kdf_params=KdfParams.from_json(data["kdf"]),
-            salt=bytes.fromhex(data["salt"]),
-            hash=bytes.fromhex(data["hash"]),
-        )
-        if len(rec.salt) != _SALT_LEN or len(rec.hash) != _HASH_LEN:
-            raise StoreFormatError("credential salt/hash has wrong length")
-        return rec
+def _from_hex(text: str, length: int, what: str) -> bytes:
+    value = bytes.fromhex(text)
+    if len(value) != length:
+        raise StoreFormatError(f"{what} has wrong length")
+    return value
 
 
 def _derive(password: str, salt: bytes, params: KdfParams) -> bytes:
@@ -124,15 +107,18 @@ def _derive(password: str, salt: bytes, params: KdfParams) -> bytes:
     return kdf.derive(password.encode("utf-8"))
 
 
-def create_credential(password: str, params: KdfParams = DEFAULT_KDF_PARAMS) -> CredentialRecord:
-    """Hash *password* under a fresh random salt."""
-    salt = os.urandom(_SALT_LEN)
-    return CredentialRecord(params, salt, _derive(password, salt, params))
-
-
-def verify_credential(record: CredentialRecord, password: str) -> bool:
-    candidate = _derive(password, record.salt, record.kdf_params)
-    return hmac.compare_digest(candidate, record.hash)
+def verify_credential(
+    params: KdfParams, salt: bytes, slots: tuple[bytes, ...], password: str
+) -> int | None:
+    """Derive *password* once and return the index of the first slot it
+    matches, or None. Every slot is compared, so the time taken does not
+    depend on which one matched."""
+    candidate = _derive(password, salt, params)
+    match = None
+    for index, slot in enumerate(slots):
+        if hmac.compare_digest(candidate, slot) and match is None:
+            match = index
+    return match
 
 
 @dataclass(frozen=True)
@@ -151,13 +137,13 @@ class AddressList:
 @dataclass(frozen=True)
 class SubUserRecord:
     name: str
-    credential: CredentialRecord
+    hash: bytes  # the password derived under the account's salt and KDF
     policy: PolicySet
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "credential": self.credential.to_json(),
+            "hash": self.hash.hex(),
             "policy": self.policy.to_json(),
         }
 
@@ -165,7 +151,7 @@ class SubUserRecord:
     def from_json(cls, data: dict) -> "SubUserRecord":
         return cls(
             name=data["name"],
-            credential=CredentialRecord.from_json(data["credential"]),
+            hash=_from_hex(data["hash"], _HASH_LEN, "password hash"),
             policy=PolicySet.from_json(data["policy"]),
         )
 
@@ -214,11 +200,21 @@ class UpstreamSpec:
 
 @dataclass(frozen=True)
 class AccountRecord:
+    """One mailbox. Every password of the account is derived under the one
+    *salt* and *kdf_params*, so a LOGIN costs one derivation whichever
+    principal it names."""
+
     email: str
     upstream: UpstreamTarget
-    owner_credential: CredentialRecord
+    kdf_params: KdfParams
+    salt: bytes
+    owner_hash: bytes
     subusers: tuple[SubUserRecord, ...] = ()
     lists: tuple[AddressList, ...] = ()
+
+    def hashes(self) -> tuple[bytes, ...]:
+        """The owner's hash, then each sub-user's in stored order."""
+        return (self.owner_hash, *(su.hash for su in self.subusers))
 
     def subuser(self, name: str) -> SubUserRecord:
         for su in self.subusers:
@@ -240,7 +236,9 @@ class AccountRecord:
         return {
             "email": self.email,
             "upstream": self.upstream.to_json(),
-            "owner_credential": self.owner_credential.to_json(),
+            "kdf": self.kdf_params.to_json(),
+            "salt": self.salt.hex(),
+            "owner_hash": self.owner_hash.hex(),
             "subusers": [su.to_json() for su in self.subusers],
             "lists": [al.to_json() for al in self.lists],
         }
@@ -251,7 +249,9 @@ class AccountRecord:
             return cls(
                 email=data["email"],
                 upstream=UpstreamTarget.from_json(data["upstream"]),
-                owner_credential=CredentialRecord.from_json(data["owner_credential"]),
+                kdf_params=KdfParams.from_json(data["kdf"]),
+                salt=_from_hex(data["salt"], _SALT_LEN, "account salt"),
+                owner_hash=_from_hex(data["owner_hash"], _HASH_LEN, "password hash"),
                 subusers=tuple(SubUserRecord.from_json(s) for s in data["subusers"]),
                 lists=tuple(AddressList.from_json(a) for a in data["lists"]),
             )
@@ -273,20 +273,6 @@ def _check_name(name: str, what: str) -> None:
         )
 
 
-# Verified against when an account lookup misses, so unknown-account and
-# wrong-password logins cost the same KDF work.
-_dummy_credential: CredentialRecord | None = None
-_dummy_lock = threading.Lock()
-
-
-def _dummy_verify(password: str) -> None:
-    global _dummy_credential
-    with _dummy_lock:
-        if _dummy_credential is None:
-            _dummy_credential = create_credential(os.urandom(16).hex())
-    verify_credential(_dummy_credential, password)
-
-
 class CredStore:
     """All accounts plus their persistence.
 
@@ -298,6 +284,11 @@ class CredStore:
         self.path = path
         self.kdf_params = kdf_params
         self._lock = threading.RLock()
+        # A LOGIN compares against SUBUSER_CAP + 1 slots whatever the account
+        # holds; these random hashes fill the slots no principal takes, and
+        # an unknown account derives under the miss salt against them alone.
+        self._padding = tuple(os.urandom(_HASH_LEN) for _ in range(SUBUSER_CAP + 1))
+        self._miss_salt = os.urandom(_SALT_LEN)
         self._accounts: dict[str, AccountRecord] = {}
         if os.path.exists(path):
             for data in store.load(path):
@@ -355,10 +346,13 @@ class CredStore:
                     upstream.password.encode("utf-8"), master_key
                 ),
             )
+            salt = os.urandom(_SALT_LEN)
             account = AccountRecord(
                 email=email,
                 upstream=target,
-                owner_credential=create_credential(owner_password, self.kdf_params),
+                kdf_params=self.kdf_params,
+                salt=salt,
+                owner_hash=_derive(owner_password, salt, self.kdf_params),
             )
             self._commit(account)
         log.info("created account %s (upstream %s:%d)", email, upstream.host, upstream.port)
@@ -381,17 +375,12 @@ class CredStore:
             if len(account.subusers) >= SUBUSER_CAP:
                 raise SubUserLimit(f"at most {SUBUSER_CAP} sub-users per account")
             validate_policy(policy, account.list_members())
-            if verify_credential(account.owner_credential, password) or any(
-                verify_credential(su.credential, password) for su in account.subusers
-            ):
+            digest = _derive(password, account.salt, account.kdf_params)
+            if digest in account.hashes():
                 raise PasswordCollision(
                     "password already in use by another principal of this account"
                 )
-            record = SubUserRecord(
-                name=name,
-                credential=create_credential(password, self.kdf_params),
-                policy=policy,
-            )
+            record = SubUserRecord(name=name, hash=digest, policy=policy)
             self._commit(replace(account, subusers=account.subusers + (record,)))
         log.info("added sub-user %s to %s", name, email)
         return record
@@ -399,19 +388,22 @@ class CredStore:
     def authenticate(self, email: str, password: str) -> Principal:
         """Resolve a (login, password) pair to exactly one principal.
 
-        Owner credential is tried first, then sub-users in stored order.
-        Every failure raises the same AuthFailed.
+        One derivation per call, whatever the outcome: the candidate is
+        compared with SUBUSER_CAP + 1 slots, the owner's hash, the
+        sub-users' in stored order, then padding. An unknown account
+        derives under the store's own parameters and compares against
+        padding alone. Every failure raises the same AuthFailed.
         """
         account = self._accounts.get(email.lower())
         if account is None:
-            _dummy_verify(password)
+            verify_credential(self.kdf_params, self._miss_salt, self._padding, password)
             raise AuthFailed()
-        if verify_credential(account.owner_credential, password):
-            return Owner()
-        for su in account.subusers:
-            if verify_credential(su.credential, password):
-                return SubUser(su.name)
-        raise AuthFailed()
+        hashes = account.hashes()
+        slots = hashes + self._padding[len(hashes) :]
+        match = verify_credential(account.kdf_params, account.salt, slots, password)
+        if match is None or match >= len(hashes):
+            raise AuthFailed()
+        return Owner() if match == 0 else SubUser(account.subusers[match - 1].name)
 
     def manage_list(
         self,

@@ -40,9 +40,9 @@ class InvalidName(ChamailError):
 
 
 class PasswordCollision(ChamailError):
-    """The candidate password already verifies against another credential
-    of the account; login carries no sub-user name, so resolution would
-    be ambiguous."""
+    """The candidate password derives to the hash of another principal of
+    the account; login carries no sub-user name, so resolution would be
+    ambiguous."""
 
 
 class AuthFailed(ChamailError):

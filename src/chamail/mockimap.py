@@ -262,6 +262,12 @@ def _search_matches(msg: StoredMessage, seq: int, criteria: list) -> bool:
         elif kind == "seqs":
             if seq not in item[1]:
                 return False
+        elif kind == "not":
+            if _search_matches(msg, seq, item[1]):
+                return False
+        elif kind == "or":
+            if not (_search_matches(msg, seq, item[1]) or _search_matches(msg, seq, item[2])):
+                return False
         else:  # pragma: no cover - parse stage rejects unknowns
             raise ImapSyntaxError(f"unhandled criterion {kind}")
     return True
@@ -272,18 +278,38 @@ def _arguments(rest: bytes) -> list[bytes]:
     return [imapcodec.token_value(t) for t in imapcodec.search_tokens(rest) if t != b" "]
 
 
-def _parse_search_criteria(rest: bytes) -> list:
-    """The criteria in *rest*; a sequence set is ("set", set, by UID)."""
-    args = iter(_arguments(rest))
+def _parse_search_criteria(rest: bytes, seqs_of) -> list:
+    """The criteria in *rest*, all of which must match. A sequence set
+    becomes ("seqs", *seqs_of*(set, by UID)); NOT and OR hold the
+    criteria of their one or two keys, and a parenthesised list joins the
+    list around it."""
+    tokens = (t for t in imapcodec.search_tokens(rest) if t != b" ")
 
     def arg() -> bytes:
-        value = next(args, None)
-        if value is None:
+        token = next(tokens, None)
+        if token is None or token in (b"(", b")"):
             raise ImapSyntaxError("unexpected end of arguments")
-        return value
+        return imapcodec.token_value(token)
 
-    criteria: list = []
-    for token in args:
+    def keys(nested: bool) -> list:
+        criteria: list = []
+        for token in tokens:
+            if token == b")" and nested and criteria:
+                return criteria
+            key(token, criteria)
+        if nested:
+            raise ImapSyntaxError("unbalanced parenthesis in search criteria")
+        return criteria
+
+    def one_key() -> list:
+        token = next(tokens, None)
+        if token is None:
+            raise ImapSyntaxError("unexpected end of arguments")
+        criteria: list = []
+        key(token, criteria)
+        return criteria
+
+    def key(token: bytes, criteria: list) -> None:
         word = token.decode("latin-1").upper()
         if word == "CHARSET":
             charset = arg().decode("latin-1").upper()
@@ -304,12 +330,20 @@ def _parse_search_criteria(rest: bytes) -> list:
         elif word == "BODY":
             criteria.append(("body", arg()))
         elif word == "UID":
-            criteria.append(("set", imapcodec.parse_sequence_set(arg().decode("latin-1")), True))
+            seq_set = imapcodec.parse_sequence_set(arg().decode("latin-1"))
+            criteria.append(("seqs", seqs_of(seq_set, True)))
         elif imapcodec.SEQ_SET_TOKEN_RE.fullmatch(token):
-            criteria.append(("set", imapcodec.parse_sequence_set(word), False))
+            criteria.append(("seqs", seqs_of(imapcodec.parse_sequence_set(word), False)))
+        elif word == "NOT":
+            criteria.append(("not", one_key()))
+        elif word == "OR":
+            criteria.append(("or", one_key(), one_key()))
+        elif word == "(":
+            criteria.extend(keys(nested=True))
         else:
             raise ImapSyntaxError(f"unsupported search criterion {word}")
-    return criteria
+
+    return keys(nested=False)
 
 
 def _match_mailbox_pattern(name: str, pattern: str) -> bool:
@@ -684,10 +718,10 @@ class MockIMAPServer:
 
     def _search(self, cmd, send, state, by_uid: bool) -> None:
         mb = self.mailboxes[state["selected"]]
-        criteria = _parse_search_criteria(cmd.rest)
-        for i, item in enumerate(criteria):
-            if item[0] == "set":  # of seqs or of UIDs: resolved to the seqs it names
-                criteria[i] = ("seqs", {seq for seq, _ in _targets(mb, item[1], item[2])})
+        criteria = _parse_search_criteria(
+            cmd.rest,
+            lambda seq_set, by_uid: {seq for seq, _ in _targets(mb, seq_set, by_uid)},
+        )
         hits = [
             msg.uid if by_uid else seq
             for seq, msg in enumerate(mb.messages, start=1)

@@ -148,7 +148,10 @@ class UpstreamConnection:
         except UpstreamUnavailable:
             self.close()
             raise
-        parsed = parse_response(greeting)
+        try:
+            parsed = parse_response(greeting)
+        except ImapSyntaxError:
+            parsed = None
         if not (isinstance(parsed, UntaggedStatus) and parsed.status in ("OK", "PREAUTH")):
             self.close()
             raise UpstreamUnavailable(f"unexpected upstream greeting {greeting[:60]!r}")

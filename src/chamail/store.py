@@ -2,10 +2,14 @@
 
 The store is a single UTF-8 JSON file:
 
-    {"version": 1, "accounts": [ ...one object per account... ]}
+    {"version": 2, "accounts": [ ...one object per account... ]}
 
-Binary fields (salts, hashes, ciphertexts) are hex-encoded by the record
-serializers in :mod:`chamail.credstore`. Writes go through a temp file and
+Each account object holds one KDF block and one salt, and the owner and
+each sub-user hold only a password hash derived under them (see
+:mod:`chamail.credstore`). Binary fields (salts, hashes, ciphertexts) are
+hex-encoded by the record serializers there. A version 1 file, with a
+salt per password, is refused: converting it would need the plaintext
+passwords, which are never stored. Writes go through a temp file and
 an atomic rename, so a crash mid-write leaves the previous file intact.
 
 Upstream passwords are sealed with AES-256-GCM under the service master
@@ -24,7 +28,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import DecryptFailed, MasterKeyError, StoreFormatError, StoreIoError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MASTER_KEY_ENV = "CHAMAIL_MASTER_KEY"
 
 _NONCE_LEN = 12
@@ -125,6 +129,13 @@ def load(path: str) -> list[dict]:
         raise StoreFormatError(f"store file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise StoreFormatError("store file root must be an object")
+    if payload.get("version") == 1:
+        raise StoreFormatError(
+            "store file is format version 1, which salts each password apart and "
+            "cannot be converted without the plaintext passwords; move it aside and "
+            "re-create the account in a new store (chamail account create, then "
+            "subuser add, list and rule set)"
+        )
     if payload.get("version") != FORMAT_VERSION:
         raise StoreFormatError(f"unsupported store version: {payload.get('version')!r}")
     accounts = payload.get("accounts")

@@ -5,12 +5,12 @@ import pathlib
 
 import pytest
 
+from chamail import credstore
 from chamail.credstore import (
     DEFAULT_KDF_PARAMS,
+    SUBUSER_CAP,
     CredStore,
     UpstreamSpec,
-    create_credential,
-    verify_credential,
 )
 from chamail.errors import (
     AuthFailed,
@@ -22,6 +22,7 @@ from chamail.errors import (
     InvalidPolicy,
     ListInUse,
     PasswordCollision,
+    StoreFormatError,
     SubUserLimit,
     UnknownAccount,
     UnknownList,
@@ -198,25 +199,58 @@ def test_set_policy_revalidates(cs, account):
 # -- persistence --------------------------------------------------------------
 
 
-def test_reload_roundtrip(tmp_path, account, cs):
+def test_reload_roundtrip(account, cs):
     cs.manage_list("person@gmail.com", "create", "exes")
     cs.manage_list("person@gmail.com", "add-member", "exes", "ex@gmail.com")
     policy = PolicySet(sender_constraints=(SenderConstraint(SenderMode.BLACKLIST, "exes"),))
     cs.add_subuser("person@gmail.com", "spouse", "catsanddogs", policy)
 
-    # older v1 files also stored an always-true "readonly" per sub-user
-    payload = json.loads(pathlib.Path(cs.path).read_text())
-    payload["accounts"][0]["subusers"][0]["readonly"] = True
-    older = tmp_path / "older.json"
-    older.write_text(json.dumps(payload))
+    reloaded = CredStore(cs.path)
+    again = reloaded.get_account("person@gmail.com")
+    assert again == cs.get_account("person@gmail.com")
+    assert again.subuser("spouse").policy == policy
+    assert again.list_members() == {"exes": frozenset({"ex@gmail.com"})}
+    assert reloaded.authenticate("person@gmail.com", "appleball") == Owner()
+    assert reloaded.authenticate("person@gmail.com", "catsanddogs") == SubUser("spouse")
+    with pytest.raises(AuthFailed):
+        reloaded.authenticate("person@gmail.com", "wrong-password")
+    assert open_sealed(again.upstream.sealed_password, MASTER_KEY) == b"upstream-pw-123"
+    # the collision check reads the reloaded hashes
+    with pytest.raises(PasswordCollision):
+        reloaded.add_subuser("person@gmail.com", "kid", "catsanddogs")
 
-    for path in (cs.path, str(older)):
-        reloaded = CredStore(path)
-        again = reloaded.get_account("person@gmail.com")
-        assert again.subuser("spouse").policy == policy
-        assert again.list_members() == {"exes": frozenset({"ex@gmail.com"})}
-        assert reloaded.authenticate("person@gmail.com", "catsanddogs") == SubUser("spouse")
-        assert open_sealed(again.upstream.sealed_password, MASTER_KEY) == b"upstream-pw-123"
+
+def test_v1_store_is_rejected_with_recreate_message(tmp_path):
+    # format 1 salted each password apart; its hashes cannot be carried over
+    credential = {
+        "kdf": FAST_KDF.to_json(),
+        "salt": "00" * 16,
+        "hash": "11" * 32,
+    }
+    account = {
+        "email": "person@gmail.com",
+        "upstream": {
+            "host": "imap.gmail.com",
+            "port": 993,
+            "use_tls": True,
+            "login": "person@gmail.com",
+            "sealed_password": "22" * 40,
+        },
+        "owner_credential": credential,
+        "subusers": [
+            {
+                "name": "spouse",
+                "credential": credential,
+                "policy": PolicySet.empty().to_json(),
+                "readonly": True,
+            }
+        ],
+        "lists": [],
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"version": 1, "accounts": [account]}))
+    with pytest.raises(StoreFormatError, match="version 1.*re-create the account"):
+        CredStore(str(path))
 
 
 def test_store_file_has_no_plaintext_secrets(cs, account):
@@ -228,20 +262,73 @@ def test_store_file_has_no_plaintext_secrets(cs, account):
 
 def test_store_file_is_json_with_version(cs, account):
     payload = json.loads(pathlib.Path(cs.path).read_text())
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["accounts"][0]["email"] == "person@gmail.com"
 
 
-def test_kdf_params_are_stored_per_credential(cs, account):
-    # records remember their own cost parameters, so defaults can change
-    # later without breaking verification
-    payload = json.loads(pathlib.Path(cs.path).read_text())
-    kdf = payload["accounts"][0]["owner_credential"]["kdf"]
-    assert kdf["memory_cost"] == FAST_KDF.memory_cost
-    assert kdf["time_cost"] == FAST_KDF.time_cost
+def test_kdf_params_and_salt_are_stored_per_account(cs, account):
+    # the account remembers its own cost parameters, so defaults can change
+    # later for new accounts; its principals keep only a hash
+    cs.add_subuser("person@gmail.com", "spouse", "catsanddogs")
+    record = json.loads(pathlib.Path(cs.path).read_text())["accounts"][0]
+    assert record["kdf"] == FAST_KDF.to_json()
+    assert len(bytes.fromhex(record["salt"])) == 16
+    assert len(bytes.fromhex(record["owner_hash"])) == 32
+    (spouse,) = record["subusers"]
+    assert set(spouse) == {"name", "hash", "policy"}
+    assert len(bytes.fromhex(spouse["hash"])) == 32
 
 
-def test_default_params_verify():
-    record = create_credential("appleball", DEFAULT_KDF_PARAMS)
-    assert verify_credential(record, "appleball")
-    assert not verify_credential(record, "appleball ")
+def test_default_params_verify(tmp_path):
+    cs = CredStore(str(tmp_path / "store.json"))
+    account = cs.create_account("person@gmail.com", UPSTREAM, "appleball", MASTER_KEY)
+    assert account.kdf_params == DEFAULT_KDF_PARAMS
+    assert cs.authenticate("person@gmail.com", "appleball") == Owner()
+    with pytest.raises(AuthFailed):
+        cs.authenticate("person@gmail.com", "appleball ")
+
+
+def test_each_login_and_each_subuser_add_derive_once(cs, account, monkeypatch):
+    # Counted, not timed: a LOGIN costs one derivation and SUBUSER_CAP + 1
+    # comparisons whether the account exists, which principal matches or
+    # none does, so its time tells nothing about the account.
+    derived = []
+    compared = []
+    derive, compare = credstore._derive, credstore.hmac.compare_digest
+    monkeypatch.setattr(credstore, "_derive", lambda *a: derived.append(a[2]) or derive(*a))
+    monkeypatch.setattr(
+        credstore.hmac, "compare_digest", lambda a, b: compared.append(1) or compare(a, b)
+    )
+
+    def add(name, password):
+        derived.clear()
+        try:
+            return cs.add_subuser("person@gmail.com", name, password)
+        finally:
+            assert derived == [FAST_KDF]
+
+    def login(email, password):
+        derived.clear()
+        compared.clear()
+        try:
+            return cs.authenticate(email, password)
+        finally:
+            # the store's parameters, also for an unknown account
+            assert derived == [FAST_KDF]
+            assert len(compared) == SUBUSER_CAP + 1
+
+    for i in range(SUBUSER_CAP - 1):
+        add(f"user{i}", f"password-{i:03d}")
+    for taken in ("appleball", "password-000", f"password-{SUBUSER_CAP - 2:03d}"):
+        with pytest.raises(PasswordCollision):
+            add("onemore", taken)
+    last = SUBUSER_CAP - 1
+    add(f"user{last}", f"password-{last:03d}")
+
+    with pytest.raises(AuthFailed):
+        login("other@example.com", "appleball")
+    with pytest.raises(AuthFailed):
+        login("person@gmail.com", "wrong-password")
+    assert login("person@gmail.com", "appleball") == Owner()
+    for i in range(SUBUSER_CAP):
+        assert login("person@gmail.com", f"password-{i:03d}") == SubUser(f"user{i}")

@@ -315,6 +315,12 @@ def test_fetch_under_examine_never_sets_seen(mclient, mock6):
         (b"UID 30:50", b"3 4 5"),
         (b"2:4 UNSEEN", b"2 4"),
         (b"CHARSET UTF-8 FROM mom", b"2"),
+        (b"OR FROM mom FROM ex@gmail.com", b"2 3 5"),
+        (b"NOT FROM ex@gmail.com", b"1 2 4 6"),
+        (b"NOT 2:5", b"1 6"),
+        (b"(FROM ex@gmail.com ANSWERED)", b"5"),
+        (b"OR (FROM mom SEEN) NOT UNSEEN", b"1 3"),
+        (b"NOT OR UID 10 (UID 60)", b"2 3 4 5"),
     ],
 )
 def test_search(mclient, criteria, hits):
@@ -337,6 +343,16 @@ def test_search_rejects_unknown_criterion(mclient):
     select(client)
     out = client.cmd(b"a3 SEARCH WOMBAT\r\n")
     assert out[-1].startswith(b"a3 BAD")
+
+
+@pytest.mark.parametrize(
+    "criteria", [b"(FROM mom", b"FROM mom)", b"()", b"NOT", b"OR FROM mom", b"SUBJECT ("]
+)
+def test_search_rejects_unbalanced_keys(mclient, criteria):
+    client = mclient()
+    select(client)
+    out = client.cmd(b"a3 SEARCH " + criteria + b"\r\n")
+    assert len(out) == 1 and out[0].startswith(b"a3 BAD ")
 
 
 def test_store_adds_flags(mclient, mock6):

@@ -364,8 +364,14 @@ def test_upstream_unreachable(tmp_path, master_key):
         client.close()
 
 
-@pytest.mark.parametrize("greets", [False, True], ids=["no-greeting", "no-login-reply"])
-def test_a_silent_upstream_fails_the_login_in_time(tmp_path, master_key, monkeypatch, greets):
+@pytest.mark.parametrize(
+    "greeting",
+    [b"", b"* OK silent upstream ready\r\n", b"garbage\r\n"],
+    ids=["no-greeting", "no-login-reply", "garbage-greeting"],
+)
+def test_a_silent_upstream_fails_the_login_in_time(
+    tmp_path, master_key, monkeypatch, caplog, greeting
+):
     monkeypatch.setattr(proxy_module, "UPSTREAM_TIMEOUT", 0.3)
     listener = socket.create_server(("127.0.0.1", 0))
     held = []
@@ -373,8 +379,7 @@ def test_a_silent_upstream_fails_the_login_in_time(tmp_path, master_key, monkeyp
     def serve():
         conn, _ = listener.accept()
         held.append(conn)
-        if greets:
-            conn.sendall(b"* OK silent upstream ready\r\n")
+        conn.sendall(greeting)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -392,6 +397,7 @@ def test_a_silent_upstream_fails_the_login_in_time(tmp_path, master_key, monkeyp
         for conn in held:
             conn.close()
         listener.close()
+    assert "crashed" not in caplog.text
 
 
 def test_upstream_rejects_stored_credential(tmp_path, master_key, mock6):
@@ -665,6 +671,34 @@ def test_subuser_search_translates_sequence_sets(spouse_session, mock6):
     mock6.clear_log()
     assert spouse_session.cmd(b"t7 SEARCH 9\r\n") == [b"t7 BAD invalid sequence set\r\n"]
     assert mock6.received_verbs() == []
+
+
+def test_subuser_search_or_not_and_lists_return_visible_hits_only(spouse_session, mock6):
+    # the upstream's hits include the hidden 3 and 5; the proxy keeps the rest
+    spouse_session.cmd(b"t2 SELECT INBOX\r\n")
+    mock6.clear_log()
+    for criteria, hits in (
+        (b"SEARCH OR FROM boss@work.example FROM ex@gmail.com", b"1"),
+        (b"SEARCH NOT 1", b"2 3 4"),
+        (b"SEARCH NOT FROM mom", b"1 3 4"),
+        (b"SEARCH (FROM ex@gmail.com)", b""),
+        (b"SEARCH (FROM mom UNSEEN)", b"2"),
+        (b"UID SEARCH OR NOT 2:4 (UID 40)", b"10 40"),
+    ):
+        out = spouse_session.cmd(b"t3 " + criteria + b"\r\n")
+        verb = criteria.rsplit(b"SEARCH", 1)[0] + b"SEARCH"
+        assert out == [
+            b"* SEARCH" + (b" " + hits if hits else b"") + b"\r\n",
+            b"t3 OK " + verb + b" completed\r\n",
+        ]
+    assert [cmd.rest for cmd in mock6.received] == [
+        b"OR FROM boss@work.example FROM ex@gmail.com",
+        b"NOT 1",
+        b"NOT FROM mom",
+        b"(FROM ex@gmail.com)",
+        b"(FROM mom UNSEEN)",
+        b"OR NOT 2:6 (UID 40)",
+    ]
 
 
 def test_empty_view_answers_search_and_uid_fetch_locally(spouse_session, store6, mock6):

@@ -105,7 +105,10 @@ class TestFileRoundtrip:
         with pytest.raises(StoreFormatError):
             store.load(str(path))
 
-    @pytest.mark.parametrize("payload", [[], {"version": 1}, {"version": 1, "accounts": [1]}])
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"version": store.FORMAT_VERSION}, {"version": store.FORMAT_VERSION, "accounts": [1]}],
+    )
     def test_load_rejects_bad_shape(self, tmp_path, payload):
         path = tmp_path / "store.json"
         path.write_text(json.dumps(payload))
